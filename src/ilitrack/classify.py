@@ -20,14 +20,17 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import (
+    Corpus,
     CorpusError,
     TokenizedMessage,
     WeekBucket,
     message_from_record,
+    read_records,
+    read_text,
     tokenize_message,
 )
 from .optimize import minimize_lbfgs
-from .query import Query, matches
+from .query import Query, match_rows, matches
 from .regress import sigmoid
 
 log = logging.getLogger(__name__)
@@ -55,36 +58,27 @@ def load_labeled_jsonl(path: str | Path) -> list[LabeledMessage]:
     """
     out: list[LabeledMessage] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ClassifierError(
-                    f"line {line_no}: invalid JSON ({exc.msg})"
-                ) from None
-            if "label" not in record:
-                raise ClassifierError(f"line {line_no}: missing field 'label'")
-            label = record["label"]
-            if isinstance(label, bool) or label not in (0, 1):
-                raise ClassifierError(
-                    f"line {line_no}: label must be 0 or 1, got {label!r}"
-                )
-            try:
-                msg = message_from_record(
-                    {k: v for k, v in record.items() if k != "label"}, line_no
-                )
-            except CorpusError as exc:
-                raise ClassifierError(str(exc)) from None
-            if msg.id in seen:
-                raise ClassifierError(
-                    f"line {line_no}: duplicate message id {msg.id!r} "
-                    f"(first seen on line {seen[msg.id]})"
-                )
-            seen[msg.id] = line_no
-            out.append(LabeledMessage(message=tokenize_message(msg), label=label))
+    for line_no, record in read_records(path, ClassifierError):
+        if "label" not in record:
+            raise ClassifierError(f"line {line_no}: missing field 'label'")
+        label = record["label"]
+        if isinstance(label, bool) or label not in (0, 1):
+            raise ClassifierError(
+                f"line {line_no}: label must be 0 or 1, got {label!r}"
+            )
+        try:
+            msg = message_from_record(
+                {k: v for k, v in record.items() if k != "label"}, line_no
+            )
+        except CorpusError as exc:
+            raise ClassifierError(str(exc)) from None
+        if msg.id in seen:
+            raise ClassifierError(
+                f"line {line_no}: duplicate message id {msg.id!r} "
+                f"(first seen on line {seen[msg.id]})"
+            )
+        seen[msg.id] = line_no
+        out.append(LabeledMessage(message=tokenize_message(msg), label=label))
     if not out:
         raise ClassifierError(f"labeled file {path}: no records")
     return out
@@ -129,21 +123,22 @@ class ClassifierModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassifierModel":
-        doc = json.loads(text)
         try:
-            return cls(
+            doc = json.loads(text)
+            fields = dict(
                 vocabulary={str(k): int(v) for k, v in doc["vocabulary"].items()},
                 theta=tuple(float(t) for t in doc["theta"]),
                 l2_lambda=float(doc["l2_lambda"]),
                 trained_on=str(doc["trained_on"]),
                 converged=bool(doc["converged"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ClassifierError(f"bad classifier document: {exc}") from None
+        return cls(**fields)
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassifierModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(read_text(path, ClassifierError))
 
 
 def build_vocabulary(
@@ -402,49 +397,50 @@ def cross_validate(
 # --- classifier-filtered fractions -------------------------------------------
 
 
-def soft_query_fraction(query: Query, bucket: WeekBucket, model: ClassifierModel) -> float:
-    """Sum of match probabilities over query matches, divided by bucket size.
+@dataclass(frozen=True, slots=True)
+class WeekScores:
+    """One week as the classifier sees it: its message count, and the
+    predict_proba of each message that matches the query. Every weekly
+    fraction follows from it, and an injection only adds to both."""
 
-    The denominator is the whole bucket, not just the matches, so this is
-    bounded above by the plain query fraction.
-    """
-    total = len(bucket.messages)
-    if total == 0:
-        raise ClassifierError(f"week {bucket.week_index}: empty bucket has no fraction")
-    score = math.fsum(
-        predict_proba(model, tm) for tm in bucket.messages if matches(query, tm)
-    )
-    return score / total
+    week_index: int
+    total: int
+    probs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.total <= 0:
+            raise ClassifierError(f"week {self.week_index}: empty bucket has no fraction")
+
+    @property
+    def kept(self) -> int:
+        """Matches the classifier keeps: probability strictly above 0.5."""
+        return sum(p > 0.5 for p in self.probs)
+
+    def fractions(self) -> tuple[float, float, float]:
+        """(plain, soft, hard): the matches, their summed probability and the
+        kept matches, each over the whole week. fsum is exactly rounded, so
+        soft does not depend on the order of probs."""
+        n = self.total
+        return len(self.probs) / n, math.fsum(self.probs) / n, self.kept / n
 
 
-def hard_query_fraction(query: Query, bucket: WeekBucket, model: ClassifierModel) -> float:
-    """Fraction of the bucket that matches the query and scores above 0.5."""
-    total = len(bucket.messages)
-    if total == 0:
-        raise ClassifierError(f"week {bucket.week_index}: empty bucket has no fraction")
-    kept = sum(
-        1
-        for tm in bucket.messages
-        if matches(query, tm) and predict_proba(model, tm) > 0.5
-    )
-    return kept / total
+def week_scores(query: Query, corpus: Corpus, model: ClassifierModel) -> list[WeekScores]:
+    """WeekScores of weeks 1..corpus.weeks. Only rows that match the query
+    become TokenizedMessages, and each is scored once."""
+    rows = np.flatnonzero(match_rows(query, corpus))
+    probs = [predict_proba(model, tm) for tm in corpus.tokenized(rows)]
+    # tokenized() orders by timestamp: week w's matches are probs[ends[w - 1] : ends[w]].
+    ends = np.cumsum(np.bincount(corpus.week[rows], minlength=corpus.weeks + 1)).tolist()
+    return [
+        WeekScores(w, total, tuple(probs[ends[w - 1] : ends[w]]))
+        for w, total in enumerate(corpus.totals(), start=1)
+    ]
 
 
 def bucket_fractions(
     query: Query, bucket: WeekBucket, model: ClassifierModel
 ) -> tuple[float, float, float]:
-    """(plain, soft, hard) fractions from a single pass over the bucket."""
-    total = len(bucket.messages)
-    if total == 0:
-        raise ClassifierError(f"week {bucket.week_index}: empty bucket has no fraction")
-    n_match = 0
-    n_hard = 0
-    probs: list[float] = []
-    for tm in bucket.messages:
-        if matches(query, tm):
-            n_match += 1
-            p = predict_proba(model, tm)
-            probs.append(p)
-            if p > 0.5:
-                n_hard += 1
-    return n_match / total, math.fsum(probs) / total, n_hard / total
+    """(plain, soft, hard) fractions of one bucket, matching and scoring its
+    messages one by one: the reference that week_scores agrees with."""
+    probs = tuple(predict_proba(model, tm) for tm in bucket.messages if matches(query, tm))
+    return WeekScores(bucket.week_index, len(bucket.messages), probs).fractions()

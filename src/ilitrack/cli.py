@@ -22,23 +22,27 @@ import json
 import logging
 import os
 import sys
-from datetime import date, timedelta
+from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import classify as clf
 from . import synth as syn
-from .corpus import CorpusError, load_corpus, load_ili_csv
+from .corpus import CorpusError, load_corpus, load_ili_csv, read_text
 
 # The per-message reference path that load_corpus and corpus_fraction_series
 # reproduce. perfbench/spans.py wraps these names on this module.
 from .corpus import bucket_weekly, ingest  # noqa: F401
 from .query import query_fraction_series  # noqa: F401
 from .query import (
+    GATE_QUERY,
     GATE_QUERY_TEXT,
     QueryError,
     QueryParseError,
     corpus_fraction_series,
+    match_rows,
     parse_query,
 )
 from .regress import (
@@ -46,6 +50,7 @@ from .regress import (
     RegressionError,
     RegressionModel,
     WeeklySeries,
+    clamp_fraction,
     fit,
     logit,
     mse,
@@ -58,6 +63,7 @@ from .simulate import (
     InjectionSchedule,
     SimulationError,
     build_spurious_pool,
+    method_series,
     mse_vs_baseline,
     report_csv,
     run_simulation,
@@ -117,7 +123,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.config:
-        config = syn.SynthConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        config = syn.SynthConfig.from_json(read_text(args.config, syn.SynthError))
         config = syn.replace(config, seed=args.seed)
     else:
         kwargs: dict = {"seed": args.seed}
@@ -215,43 +221,28 @@ def _eval_range(args: argparse.Namespace, n_weeks: int) -> list[int]:
 
 def _series_by_mode(args, query, corpus, classifier):
     """Weekly fraction series for the chosen mode, plus csv rows."""
-    from .regress import clamp_fraction
-
-    rows = ["week_index,end_date,matches,total,fraction"]
-    weeks: list[int] = []
-    values: list[float] = []
     if args.mode == "plain":
         series = corpus_fraction_series(query, corpus)
-        for i, w in enumerate(series.week_indices):
-            rows.append(
-                f"{w},{series.end_dates[i].isoformat()},{series.match_counts[i]},"
-                f"{series.totals[i]},{series.values[i]!r}"
-            )
-        weeks = list(series.week_indices)
-        values = [
-            clamp_fraction(v, t) for v, t in zip(series.values, series.totals)
-        ]
+        matched, totals, values = series.match_counts, series.totals, series.values
     else:
-        for bucket in corpus.week_buckets():
-            total = len(bucket.messages)
-            if total == 0:
-                raise QueryError(f"week {bucket.week_index}: empty bucket has no fraction")
-            if args.mode == "soft":
-                frac = clf.soft_query_fraction(query, bucket, classifier)
-                matched = frac * total
-                rows.append(
-                    f"{bucket.week_index},{bucket.end_date.isoformat()},"
-                    f"{matched!r},{total},{frac!r}"
-                )
-            else:
-                frac = clf.hard_query_fraction(query, bucket, classifier)
-                rows.append(
-                    f"{bucket.week_index},{bucket.end_date.isoformat()},"
-                    f"{round(frac * total)},{total},{frac!r}"
-                )
-            weeks.append(bucket.week_index)
-            values.append(clamp_fraction(frac, total))
-    return WeeklySeries(week_indices=tuple(weeks), values=tuple(values)), "\n".join(rows) + "\n"
+        scores = clf.week_scores(query, corpus, classifier)
+        totals = [s.total for s in scores]
+        if args.mode == "soft":
+            values = [s.fractions()[1] for s in scores]
+            matched = [v * t for v, t in zip(values, totals)]
+        else:
+            values = [s.fractions()[2] for s in scores]
+            matched = [s.kept for s in scores]
+    weeks = range(1, corpus.weeks + 1)
+    rows = ["week_index,end_date,matches,total,fraction"] + [
+        f"{w},{end.isoformat()},{m!r},{t},{v!r}"
+        for w, end, m, t, v in zip(weeks, corpus.end_dates(), matched, totals, values)
+    ]
+    series = WeeklySeries(
+        week_indices=tuple(weeks),
+        values=tuple(clamp_fraction(v, t) for v, t in zip(values, totals)),
+    )
+    return series, "\n".join(rows) + "\n"
 
 
 def cmd_fraction(args: argparse.Namespace) -> int:
@@ -390,8 +381,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("pass exactly one of --classifier or --train")
     query = parse_query(args.query)
     ili_rows, ili, corpus = _load_weekly(args.messages, args.ili)
-    buckets = corpus.week_buckets()
-    del corpus  # the buckets hold every message; keep one copy in memory
     train_weeks = _train_range(args, len(ili_rows))
 
     if args.classifier:
@@ -400,49 +389,36 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         labeled = clf.load_labeled_jsonl(args.train)
         classifier = clf.train(labeled, l2_lambda=args.l2_lambda, seed=args.seed)
 
-    from .regress import clamp_fraction
-
-    series: dict[str, WeeklySeries] = {}
-    weeks = [b.week_index for b in buckets]
-    plain_vals, soft_vals, hard_vals = [], [], []
-    for bucket in buckets:
-        total = len(bucket.messages)
-        if total == 0:
-            raise SimulationError(f"week {bucket.week_index}: empty bucket")
-        p, s, h = clf.bucket_fractions(query, bucket, classifier)
-        plain_vals.append(clamp_fraction(p, total))
-        soft_vals.append(clamp_fraction(s, total))
-        hard_vals.append(clamp_fraction(h, total))
-    series["keywords"] = WeeklySeries(tuple(weeks), tuple(plain_vals))
-    series["classify-soft"] = WeeklySeries(tuple(weeks), tuple(soft_vals))
-    series["classify-hard"] = WeeklySeries(tuple(weeks), tuple(hard_vals))
+    scores = clf.week_scores(query, corpus, classifier)
+    series = method_series(scores)
     models = {name: fit(series[name], ili, train_weeks) for name in METHODS}
 
-    if args.schedule:
+    if args.schedule is not None:
         schedule = _load_schedule(args.schedule)
     else:
-        schedule = InjectionSchedule.default_for(weeks)
-    pool = build_spurious_pool(tm for b in buckets for tm in b.messages)
+        schedule = InjectionSchedule.default_for([s.week_index for s in scores])
+    gate_rows = np.flatnonzero(match_rows(GATE_QUERY, corpus))
+    pool = build_spurious_pool(corpus.tokenized(gate_rows))
     report = run_simulation(
-        buckets, pool, schedule, models, classifier, seed=args.seed, query=query
+        scores, pool, schedule, models, classifier, seed=args.seed, query=query
     )
     out = _out_dir(args)
     _write(out / "simulation.csv", report_csv(report))
     _write(out / "simulation_summary.json", summary_json(report, pool, args.seed))
     _write_run(out, "simulate", _simulate_argv(args))
-    scores = mse_vs_baseline(report)
+    drift = mse_vs_baseline(report)
     for name in METHODS:
-        print(f"{name:<14} mse={scores[name]:.6g} pp^2")
+        print(f"{name:<14} mse={drift[name]:.6g} pp^2")
     return 0
 
 
 def _load_schedule(arg: str) -> InjectionSchedule:
     path = Path(arg)
-    if path.exists():
-        return InjectionSchedule.from_json(path.read_text(encoding="utf-8"))
+    if path.is_file():
+        return InjectionSchedule.from_json(read_text(path, SimulationError))
     try:
         return InjectionSchedule.from_json(arg)
-    except (json.JSONDecodeError, SimulationError):
+    except SimulationError:
         raise CliError(
             f"--schedule {arg!r} is neither a file nor inline JSON "
             '(expected {"pairs": [[week, count], ...]})'
@@ -459,7 +435,7 @@ def _simulate_argv(args: argparse.Namespace) -> list[str]:
     ]
     if args.train_weeks:
         argv += ["--train-weeks", args.train_weeks]
-    if args.schedule:
+    if args.schedule is not None:
         argv += ["--schedule", str(args.schedule)]
     if args.classifier:
         argv += ["--classifier", str(args.classifier)]
@@ -472,11 +448,11 @@ def _simulate_argv(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.run).read_text(encoding="utf-8"))
     try:
+        doc = json.loads(read_text(args.run, CliError))
         command = doc["command"]
         argv = [str(a) for a in doc["argv"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad run.json: {exc}") from None
     if command not in ("synth", "fraction", "classify", "simulate"):
         raise CliError(f"run.json names unknown command {command!r}")
@@ -510,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ili", required=True, help="ILI CSV file (week_ending,ili_pct)")
     p.add_argument("--query", required=True, help="keyword query text")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument(
+        "--seed", required=True, type=int,
+        help="recorded in run.json only; nothing in this command is random",
+    )
     p.add_argument("--train-weeks", help="inclusive week range A:B (default 1:20)")
     p.add_argument("--eval-weeks", help="inclusive week range A:B (default 21:last)")
     p.add_argument(

@@ -161,6 +161,47 @@ def message_from_record(record: dict, line_no: int) -> Message:
         raise CorpusError(f"line {line_no}: {exc}") from None
 
 
+def read_lines(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file, split as
+    open() splits it. A byte that is not UTF-8 raises error, naming the
+    file and the line that holds it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # open() ends a line at "\n", "\r\n" or a lone "\r".
+                head = raw[: exc.start].decode("utf-8")
+                line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+                raise error(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+            raise
+
+
+def read_text(path: str | Path, error: type[ValueError]) -> str:
+    """Path(path).read_text(encoding="utf-8"), raising error as read_lines does."""
+    return "".join(line for _, line in read_lines(path, error))
+
+
+def read_records(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each line of a JSONL file that is not
+    blank. A line that is not UTF-8, not JSON or not a JSON object raises
+    error, naming the line."""
+    for line_no, line in read_lines(path, error):
+        # isspace instead of strip(): no per-line copy of the whole text
+        if not line or line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise error(f"line {line_no}: expected a JSON object")
+        yield line_no, record
+
+
 def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
     """Load messages from a JSONL file, keeping those inside date_range.
 
@@ -174,24 +215,16 @@ def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
         raise CorpusError(f"date range start {start} is after end {end}")
     messages: list[Message] = []
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            # isspace instead of strip(): no per-line copy of the whole text
-            if not line or line.isspace():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            msg = message_from_record(record, line_no)
-            if msg.id in seen:
-                raise CorpusError(
-                    f"line {line_no}: duplicate message id {msg.id!r} "
-                    f"(first seen on line {seen[msg.id]})"
-                )
-            seen[msg.id] = line_no
-            if start <= msg.timestamp.date() <= end:
-                messages.append(msg)
+    for line_no, record in read_records(path, CorpusError):
+        msg = message_from_record(record, line_no)
+        if msg.id in seen:
+            raise CorpusError(
+                f"line {line_no}: duplicate message id {msg.id!r} "
+                f"(first seen on line {seen[msg.id]})"
+            )
+        seen[msg.id] = line_no
+        if start <= msg.timestamp.date() <= end:
+            messages.append(msg)
     messages.sort(key=lambda m: (m.timestamp, m.id))
     return messages
 
@@ -326,29 +359,24 @@ class Corpus:
         return np.bincount(self.week, minlength=self.weeks + 1)[1:].tolist()
 
     @_collector_paused()
-    def week_buckets(self) -> list[WeekBucket]:
-        """The buckets bucket_weekly builds from the same messages: one
-        TokenizedMessage per row, each bucket sorted by (timestamp, id)."""
+    def tokenized(self, rows: Iterable[int]) -> list[TokenizedMessage]:
+        """The TokenizedMessages bucket_weekly holds for the given rows, in
+        (timestamp, id) order. Weeks follow timestamps, so the messages of
+        one week are contiguous and the weeks ascend."""
         vocabulary = list(self.vocabulary)
-        tokens = [vocabulary[i] for i in self.token_ids.tolist()]
         offsets = self.offsets.tolist()
         seconds = self.seconds.tolist()
-        week = self.week.tolist()
-        grouped: list[list[TokenizedMessage]] = [[] for _ in range(self.weeks)]
-        for r in sorted(range(len(self)), key=list(zip(seconds, self.ids)).__getitem__):
+        out = []
+        for r in sorted(map(int, rows), key=lambda r: (seconds[r], self.ids[r])):
             message = Message(
                 id=self.ids[r],
                 timestamp=datetime.fromtimestamp(seconds[r], timezone.utc),
                 author=self.authors[r],
                 text=self.texts[r],
             )
-            grouped[week[r] - 1].append(
-                TokenizedMessage(message=message, tokens=tuple(tokens[offsets[r] : offsets[r + 1]]))
-            )
-        return [
-            WeekBucket(week_index=i + 1, end_date=end, messages=tuple(group))
-            for i, (end, group) in enumerate(zip(self.end_dates(), grouped))
-        ]
+            tokens = self.token_ids[offsets[r] : offsets[r + 1]].tolist()
+            out.append(TokenizedMessage(message, tuple(vocabulary[i] for i in tokens)))
+        return out
 
 
 def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
@@ -413,8 +441,11 @@ def _read_columns(
 ) -> tuple[list[str], np.ndarray, list[str], list[str]] | None:
     """(ids, POSIX seconds, authors, texts) of every record in the file, or
     None when some record is one that ingest rejects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = _LINE_RE.findall(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = _LINE_RE.findall(fh.read())
+    except UnicodeDecodeError:
+        return None  # ingest re-reads the file and names the line
     if not rows:
         return [], np.zeros(0, dtype=np.int64), [], []
     ids, stamps, authors, texts, others = (list(column) for column in zip(*rows))
@@ -542,42 +573,42 @@ def load_ili_csv(path: str | Path) -> list[tuple[date, float]]:
     strictly inside (0, 100). Returns [(end_date, pct), ...] in week order.
     """
     rows: list[tuple[date, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().strip()
-        if header != "week_ending,ili_pct":
+    lines = read_lines(path, CorpusError)
+    header = next(lines, (1, ""))[1].strip()
+    if header != "week_ending,ili_pct":
+        raise CorpusError(
+            f"ILI file {path}: expected header 'week_ending,ili_pct', got {header!r}"
+        )
+    for line_no, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CorpusError(f"ILI file line {line_no}: expected 2 fields")
+        try:
+            end = date.fromisoformat(parts[0])
+        except ValueError:
             raise CorpusError(
-                f"ILI file {path}: expected header 'week_ending,ili_pct', got {header!r}"
+                f"ILI file line {line_no}: bad date {parts[0]!r}"
+            ) from None
+        try:
+            pct = float(parts[1])
+        except ValueError:
+            raise CorpusError(
+                f"ILI file line {line_no}: bad percentage {parts[1]!r}"
+            ) from None
+        if not 0.0 < pct < 100.0:
+            raise CorpusError(
+                f"ILI file line {line_no}: ili_pct must be in (0, 100), got {pct}"
             )
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise CorpusError(f"ILI file line {line_no}: expected 2 fields")
-            try:
-                end = date.fromisoformat(parts[0])
-            except ValueError:
-                raise CorpusError(
-                    f"ILI file line {line_no}: bad date {parts[0]!r}"
-                ) from None
-            try:
-                pct = float(parts[1])
-            except ValueError:
-                raise CorpusError(
-                    f"ILI file line {line_no}: bad percentage {parts[1]!r}"
-                ) from None
-            if not 0.0 < pct < 100.0:
-                raise CorpusError(
-                    f"ILI file line {line_no}: ili_pct must be in (0, 100), got {pct}"
-                )
-            if end.weekday() != SATURDAY:
-                raise CorpusError(f"ILI file line {line_no}: {end} is not a Saturday")
-            if rows and (end - rows[-1][0]).days != 7:
-                raise CorpusError(
-                    f"ILI file line {line_no}: {end} does not follow {rows[-1][0]} by 7 days"
-                )
-            rows.append((end, pct))
+        if end.weekday() != SATURDAY:
+            raise CorpusError(f"ILI file line {line_no}: {end} is not a Saturday")
+        if rows and (end - rows[-1][0]).days != 7:
+            raise CorpusError(
+                f"ILI file line {line_no}: {end} does not follow {rows[-1][0]} by 7 days"
+            )
+        rows.append((end, pct))
     if not rows:
         raise CorpusError(f"ILI file {path}: no data rows")
     return rows

@@ -376,14 +376,6 @@ def count_matches(query: Query, bucket: WeekBucket) -> int:
     return sum(1 for m in bucket.messages if matches(query, m))
 
 
-def query_fraction(query: Query, bucket: WeekBucket) -> float:
-    """Fraction of the bucket's messages matching the query."""
-    total = len(bucket.messages)
-    if total == 0:
-        raise QueryError(f"week {bucket.week_index}: empty bucket has no fraction")
-    return count_matches(query, bucket) / total
-
-
 def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> QueryFractionSeries:
     """Compute the weekly fraction series over consecutive buckets."""
     empty = [b.week_index for b in buckets if len(b.messages) == 0]

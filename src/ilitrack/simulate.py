@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .classify import ClassifierModel, bucket_fractions, predict_proba
+from .classify import bucket_fractions  # noqa: F401  (perfbench/spans.py wraps it here)
+from .classify import ClassifierModel, WeekScores, predict_proba
 from .corpus import Message, TokenizedMessage, WeekBucket, tokenize, tokenize_message
 from .query import GATE_QUERY, Query, Term, matches
-from .regress import RegressionModel, clamp_fraction, predict
+from .regress import RegressionModel, WeeklySeries, clamp_fraction, predict
 
 METHODS = ("keywords", "classify-soft", "classify-hard")
 
@@ -81,8 +82,8 @@ class InjectionSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "InjectionSchedule":
-        doc = json.loads(text)
         try:
+            doc = json.loads(text)
             pairs = tuple((int(w), int(n)) for w, n in doc["pairs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"bad schedule document: {exc}") from None
@@ -173,25 +174,13 @@ def inject(
         if n == 0:
             out.append(bucket)
             continue
-        picks = rng.integers(0, len(pool.messages), size=n)
-        injected: list[TokenizedMessage] = []
-        for i in range(n):
-            src = pool.messages[int(picks[i])]
-            clone = Message(
-                id=f"{src.message.id}#inj{ordinal}",
-                timestamp=src.message.timestamp,
-                author=src.message.author,
-                text=src.message.text,
-            )
+        injected = []
+        for i in rng.integers(0, len(pool.messages), size=n).tolist():
+            src = pool.messages[i]
+            clone = replace(src.message, id=f"{src.message.id}#inj{ordinal}")
             injected.append(TokenizedMessage(message=clone, tokens=src.tokens))
             ordinal += 1
-        out.append(
-            WeekBucket(
-                week_index=bucket.week_index,
-                end_date=bucket.end_date,
-                messages=bucket.messages + tuple(injected),
-            )
-        )
+        out.append(replace(bucket, messages=bucket.messages + tuple(injected)))
     return out
 
 
@@ -220,33 +209,19 @@ class SimulationReport:
             raise SimulationError("injected_counts length mismatch")
 
 
-def _method_estimates(
-    buckets: Sequence[WeekBucket],
-    weeks: Sequence[int],
-    query: Query,
-    models: Mapping[str, RegressionModel],
-    classifier: ClassifierModel,
-) -> dict[str, tuple[float, ...]]:
-    by_index = {b.week_index: b for b in buckets}
-    est: dict[str, list[float]] = {m: [] for m in METHODS}
-    for w in weeks:
-        bucket = by_index[w]
-        total = len(bucket.messages)
-        if total == 0:
-            raise SimulationError(f"week {w}: empty bucket")
-        plain, soft, hard = bucket_fractions(query, bucket, classifier)
-        for name, frac in (
-            ("keywords", plain),
-            ("classify-soft", soft),
-            ("classify-hard", hard),
-        ):
-            value = predict(models[name], clamp_fraction(frac, total))
-            est[name].append(100.0 * value)
-    return {m: tuple(v) for m, v in est.items()}
+def method_series(scores: Sequence[WeekScores]) -> dict[str, WeeklySeries]:
+    """Each method's weekly fractions, clamped off 0 and 1: the series its
+    regression is fitted on and predicts from."""
+    weeks = tuple(s.week_index for s in scores)
+    columns = zip(*(s.fractions() for s in scores))
+    return {
+        name: WeeklySeries(weeks, tuple(clamp_fraction(f, s.total) for f, s in zip(column, scores)))
+        for name, column in zip(METHODS, columns)
+    }
 
 
 def run_simulation(
-    buckets: Sequence[WeekBucket],
+    scores: Sequence[WeekScores],
     pool: SpuriousPool,
     schedule: InjectionSchedule,
     models: Mapping[str, RegressionModel],
@@ -256,25 +231,43 @@ def run_simulation(
 ) -> SimulationReport:
     """Score every method on injected weeks against its own baseline.
 
-    models must supply one fitted regression per method name in METHODS
-    (each fitted on its own fraction series from the clean corpus).
+    scores are the clean weeks' WeekScores for query and classifier; models
+    must supply one fitted regression per method name in METHODS (each
+    fitted on its own fraction series from the clean corpus). The injection
+    is inject()'s as arithmetic: the same draws pick pool messages, each
+    scored once, and an injected week gains n messages and the
+    probabilities of the picks that match the query.
     """
     missing = [m for m in METHODS if m not in models]
     if missing:
         raise SimulationError(f"missing regression model(s) for: {missing}")
-    weeks = schedule.weeks
-    have = {b.week_index for b in buckets}
-    absent = sorted(w for w in weeks if w not in have)
+    clean = {s.week_index: s for s in scores}
+    absent = sorted(w for w in schedule.weeks if w not in clean)
     if absent:
         raise SimulationError(f"schedule week(s) {absent} not present in the corpus")
-    baselines = _method_estimates(buckets, weeks, query, models, classifier)
-    injected_buckets = inject(buckets, pool, schedule, seed)
-    estimates = _method_estimates(injected_buckets, weeks, query, models, classifier)
+    pool_probs = [
+        predict_proba(classifier, tm) if matches(query, tm) else None for tm in pool.messages
+    ]
+    rng = np.random.default_rng([seed, 2])
+    injected = dict(clean)
+    for week, n in sorted(schedule.pairs):  # inject()'s order: by week, no draw for 0
+        if n:
+            picks = rng.integers(0, len(pool.messages), size=n).tolist()
+            probs = tuple(pool_probs[i] for i in picks if pool_probs[i] is not None)
+            injected[week] = WeekScores(week, clean[week].total + n, clean[week].probs + probs)
+
+    def estimates(weeks: Mapping[int, WeekScores]) -> dict[str, tuple[float, ...]]:
+        series = method_series([weeks[w] for w in schedule.weeks])
+        return {
+            name: tuple(100.0 * predict(models[name], f) for f in s.values)
+            for name, s in series.items()
+        }
+
     return SimulationReport(
-        weeks=weeks,
+        weeks=schedule.weeks,
         injected_counts=tuple(n for _, n in schedule.pairs),
-        estimates=estimates,
-        baselines=baselines,
+        estimates=estimates(injected),
+        baselines=estimates(clean),
     )
 
 

@@ -162,7 +162,12 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SynthError(f"bad config document: {exc}") from None
+        if not isinstance(doc, dict):
+            raise SynthError("bad config document: expected a JSON object")
         known = {
             "seed",
             "weeks",
@@ -182,21 +187,24 @@ class SynthConfig:
             raise SynthError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         if "seed" not in doc:
             raise SynthError("config must set 'seed'")
-        kwargs: dict = {"seed": int(doc["seed"])}
-        if "weeks" in doc:
-            kwargs["weeks"] = int(doc["weeks"])
-        if "messages_per_week" in doc:
-            kwargs["messages_per_week"] = int(doc["messages_per_week"])
-        if "first_week_end" in doc:
-            kwargs["first_week_end"] = date.fromisoformat(doc["first_week_end"])
-        for name in ("true_beta1", "true_beta2", "noise_sd", "spurious_rate"):
-            if name in doc:
-                kwargs[name] = float(doc[name])
-        if "ili_curve" in doc:
-            kwargs["ili_curve"] = tuple(float(v) for v in doc["ili_curve"])
-        for name in ("positive_templates", "negative_templates", "spurious_templates"):
-            if name in doc:
-                kwargs[name] = tuple(str(t) for t in doc[name])
+        try:
+            kwargs: dict = {"seed": int(doc["seed"])}
+            if "weeks" in doc:
+                kwargs["weeks"] = int(doc["weeks"])
+            if "messages_per_week" in doc:
+                kwargs["messages_per_week"] = int(doc["messages_per_week"])
+            if "first_week_end" in doc:
+                kwargs["first_week_end"] = date.fromisoformat(doc["first_week_end"])
+            for name in ("true_beta1", "true_beta2", "noise_sd", "spurious_rate"):
+                if name in doc:
+                    kwargs[name] = float(doc[name])
+            if "ili_curve" in doc:
+                kwargs["ili_curve"] = tuple(float(v) for v in doc["ili_curve"])
+            for name in ("positive_templates", "negative_templates", "spurious_templates"):
+                if name in doc:
+                    kwargs[name] = tuple(str(t) for t in doc[name])
+        except (TypeError, ValueError) as exc:
+            raise SynthError(f"bad config document: {exc}") from None
         if "ili_curve" not in doc and "weeks" in doc:
             kwargs["ili_curve"] = default_ili_curve(kwargs["weeks"])
         return cls(**kwargs)

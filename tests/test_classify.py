@@ -17,18 +17,17 @@ from ilitrack.classify import (
     bucket_fractions,
     build_vocabulary,
     cross_validate,
+    WeekScores,
     featurize,
-    hard_query_fraction,
     load_labeled_jsonl,
     loss_and_grad,
     predict_label,
     predict_proba,
-    soft_query_fraction,
     train,
 )
 from ilitrack.classify import _design_matrix, _fingerprint
 from ilitrack.corpus import WeekBucket, tokenize_message
-from ilitrack.query import parse_query
+from ilitrack.query import count_matches, matches, parse_query
 from ilitrack.regress import sigmoid
 
 from conftest import msg, tmsg
@@ -89,6 +88,23 @@ def test_load_labeled_jsonl_rejects(tmp_path, mutation, complaint):
     p = tmp_path / "lab.jsonl"
     p.write_text(json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(ClassifierError, match=f"line 1.*{complaint}"):
+        load_labeled_jsonl(p)
+
+
+@pytest.mark.parametrize("line", ['"label"', "5", "[1]", "null"])
+def test_load_labeled_jsonl_rejects_values_that_are_not_objects(tmp_path, line):
+    row = {"id": "a", "timestamp": "2010-06-06T12:00:00Z", "text": "flu", "label": 1}
+    p = tmp_path / "lab.jsonl"
+    p.write_text(json.dumps(row) + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ClassifierError, match="line 2: expected a JSON object"):
+        load_labeled_jsonl(p)
+
+
+def test_load_labeled_jsonl_names_the_line_that_is_not_utf8(tmp_path):
+    row = {"id": "a", "timestamp": "2010-06-06T12:00:00Z", "text": "flu", "label": 1}
+    p = tmp_path / "lab.jsonl"
+    p.write_bytes(json.dumps(row).encode() + b"\r\n\r\n{\"id\": \"\xff\"}\n")
+    with pytest.raises(ClassifierError, match=r"lab.jsonl: line 3: not valid UTF-8"):
         load_labeled_jsonl(p)
 
 
@@ -248,8 +264,11 @@ def test_model_validation():
     with pytest.raises(ClassifierError, match="1..V"):
         ClassifierModel(vocabulary={"a": 2}, theta=(0.0, 0.0), l2_lambda=1.0,
                         trained_on="x", converged=True)
-    with pytest.raises(ClassifierError, match="bad classifier"):
-        ClassifierModel.from_json('{"vocabulary": {}}')
+    for text in ('{"vocabulary": {}}', "", "not json", '"theta"', '{"vocabulary": []}',
+                 '{"vocabulary": {"a": "one"}, "theta": [0, 0], "l2_lambda": 1, '
+                 '"trained_on": "x", "converged": true}'):
+        with pytest.raises(ClassifierError, match="bad classifier"):
+            ClassifierModel.from_json(text)
 
 
 # --- prediction ------------------------------------------------------------------
@@ -362,15 +381,14 @@ def test_soft_and_hard_fractions_closed_form():
     p_genuine = sigmoid(1.7)
     p_newsy = sigmoid(-0.3)
     expected_soft = (p_genuine + 2 * p_newsy) / 4
-    assert soft_query_fraction(query, bucket, model) == pytest.approx(
-        expected_soft, rel=1e-15
-    )
-    # Only the genuine-looking message clears 0.5.
-    assert hard_query_fraction(query, bucket, model) == 0.25
     plain, soft, hard = bucket_fractions(query, bucket, model)
     assert plain == 0.75
     assert soft == pytest.approx(expected_soft, rel=1e-15)
+    # Only the genuine-looking message clears 0.5.
     assert hard == 0.25
+    scores = WeekScores(week_index=1, total=4, probs=(p_genuine, p_newsy, p_newsy))
+    assert scores.kept == 1
+    assert scores.fractions() == (plain, soft, hard)
 
 
 def test_fraction_ordering_invariants():
@@ -392,18 +410,17 @@ def test_soft_fraction_is_order_independent():
     random.Random(9).shuffle(shuffled)
     b2 = WeekBucket(week_index=1, end_date=date(2009, 9, 5), messages=tuple(shuffled))
     # Bit-identical, not merely close: the sum is compensated.
-    assert soft_query_fraction(query, b1, model) == soft_query_fraction(query, b2, model)
+    assert bucket_fractions(query, b1, model) == bucket_fractions(query, b2, model)
 
 
 def test_fractions_empty_bucket_raises():
     model = hand_model()
     empty = WeekBucket(week_index=2, end_date=date(2009, 9, 12), messages=())
     query = parse_query("flu")
-    for fn in (soft_query_fraction, hard_query_fraction):
-        with pytest.raises(ClassifierError, match="empty"):
-            fn(query, empty, model)
-    with pytest.raises(ClassifierError, match="empty"):
+    with pytest.raises(ClassifierError, match="week 2: empty"):
         bucket_fractions(query, empty, model)
+    with pytest.raises(ClassifierError, match="week 2: empty"):
+        WeekScores(week_index=2, total=0, probs=())
 
 
 def test_bucket_fractions_agrees_with_componentwise():
@@ -418,8 +435,7 @@ def test_bucket_fractions_agrees_with_componentwise():
     bucket = WeekBucket(week_index=1, end_date=date(2009, 9, 5), messages=tms)
     query = parse_query("flu fever")
     plain, soft, hard = bucket_fractions(query, bucket, model)
-    from ilitrack.query import query_fraction
-
-    assert plain == query_fraction(query, bucket)
-    assert soft == soft_query_fraction(query, bucket, model)
-    assert hard == hard_query_fraction(query, bucket, model)
+    hits = [tm for tm in tms if matches(query, tm)]
+    assert plain == count_matches(query, bucket) / 4
+    assert soft == math.fsum(predict_proba(model, tm) for tm in hits) / 4
+    assert hard == sum(predict_label(model, tm) for tm in hits) / 4

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior on small corpora."""
 
 import json
+import os
 from datetime import date
 from pathlib import Path
 
@@ -478,3 +479,50 @@ def test_rerun_rejects_bad_run_files(tmp_path, capsys):
     p.write_text('{"argv": []}\n', encoding="utf-8")
     captured = run_fail(capsys, ["rerun", "--run", str(p), "--out", str(tmp_path / "o")])
     assert "bad run.json" in captured.err
+
+
+# --- malformed inputs -------------------------------------------------------------
+
+# Every file the CLI reads gets each of these; each must end in exit 1 and a
+# single "error:" line, never a traceback.
+BAD_CONTENTS = {
+    "not utf-8": b"\xff\xfe",
+    "not json": b"not json {\n",
+    "wrong json type": b'"label"\n',
+    "empty": b"",
+}
+
+
+def loader_argv(loader, path, work):
+    """argv whose first input read is path, through the named loader."""
+    fraction = ["fraction", "--messages", str(work["messages"]), "--ili", str(work["ili"]),
+                "--query", QUERY, "--seed", "0", "--train-weeks", "1:4", "--eval-weeks", "5:6"]
+    simulate = ["simulate", "--messages", str(work["messages"]), "--ili", str(work["ili"]),
+                "--classifier", str(work["classifier"]), "--seed", "1", "--train-weeks", "1:6"]
+    return {
+        "messages": fraction[:1] + ["--messages", str(path)] + fraction[3:],
+        "ili": fraction[:3] + ["--ili", str(path)] + fraction[5:],
+        "labeled": ["classify", "--train", str(path), "--seed", "0", "--folds", "5"],
+        "classifier": fraction + ["--mode", "soft", "--classifier", str(path)],
+        "schedule file": simulate + ["--schedule", str(path)],
+        "inline schedule": simulate + ["--schedule", os.fsdecode(path.read_bytes())],
+        "run.json": ["rerun", "--run", str(path)],
+        "synth config": ["synth", "--seed", "1", "--config", str(path)],
+    }[loader]
+
+
+LOADERS = ("messages", "ili", "labeled", "classifier", "schedule file", "inline schedule",
+           "run.json", "synth config")
+
+
+@pytest.mark.parametrize("content", BAD_CONTENTS.values(), ids=BAD_CONTENTS.keys())
+@pytest.mark.parametrize("loader", LOADERS)
+def test_malformed_input_is_one_error_line(work, tmp_path, capsys, loader, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    argv = loader_argv(loader, path, work) + ["--out", str(tmp_path / "out")]
+    captured = run_fail(capsys, argv)
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in captured.err, captured.err
+    if content == BAD_CONTENTS["not utf-8"] and loader != "inline schedule":
+        assert f"{path}: line 1: not valid UTF-8" in captured.err

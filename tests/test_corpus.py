@@ -303,6 +303,22 @@ def reference_buckets(path, weeks):
     return bucket_weekly(ingest(path, weeks_range(weeks)), FIRST_END, weeks)
 
 
+def assert_holds_buckets(corpus, reference):
+    """The corpus holds what the reference buckets hold: each row's week,
+    the weekly totals and end dates, and the same TokenizedMessages for
+    all rows and for a subset given in reverse."""
+    assert dict(zip(corpus.ids, corpus.week.tolist())) == {
+        tm.message.id: b.week_index for b in reference for tm in b.messages
+    }
+    assert corpus.totals() == [len(b.messages) for b in reference]
+    assert corpus.end_dates() == [b.end_date for b in reference]
+    everything = [tm for b in reference for tm in b.messages]
+    assert corpus.tokenized(range(len(corpus))) == everything
+    some = list(range(len(corpus)))[::-2]
+    wanted = {corpus.ids[r] for r in some}
+    assert corpus.tokenized(some) == [tm for tm in everything if tm.message.id in wanted]
+
+
 def row_tokens(corpus):
     vocabulary = list(corpus.vocabulary)
     offsets = corpus.offsets.tolist()
@@ -352,8 +368,7 @@ def test_load_corpus_buckets_equal_bucket_weekly(rows):
         write_jsonl(p, records)
         corpus = load_corpus(p, FIRST_END, 3)
         reference = reference_buckets(p, 3)
-    assert corpus.week_buckets() == reference
-    assert corpus.totals() == [len(b.messages) for b in reference]
+    assert_holds_buckets(corpus, reference)
 
 
 def test_load_corpus_accepts_lines_in_other_layouts(tmp_path):
@@ -372,7 +387,7 @@ def test_load_corpus_accepts_lines_in_other_layouts(tmp_path):
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     corpus = load_corpus(p, FIRST_END, 2)
     assert corpus.ids == ["a", "b", "c", "d", "e"]
-    assert corpus.week_buckets() == reference_buckets(p, 2)
+    assert_holds_buckets(corpus, reference_buckets(p, 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -439,6 +454,32 @@ def test_load_corpus_rejects_what_ingest_rejects(tmp_path, lines):
     with pytest.raises(CorpusError) as columnar:
         load_corpus(p, FIRST_END, 2)
     assert str(columnar.value) == str(reference.value)
+
+
+@pytest.mark.parametrize(
+    "raw,line",
+    [
+        (b"\xff\xfe", 1),
+        (GOOD.encode() + b'\n{"id": "\xe9"}\n', 2),
+        # "\r\n" and a lone "\r" each end a line, as open() reads the file.
+        (GOOD.encode() + b"\r\n\r\xc3(\n", 3),
+    ],
+)
+def test_load_corpus_and_ingest_name_the_line_that_is_not_utf8(tmp_path, raw, line):
+    p = tmp_path / "msgs.jsonl"
+    p.write_bytes(raw)
+    complaint = rf"msgs.jsonl: line {line}: not valid UTF-8"
+    with pytest.raises(CorpusError, match=complaint):
+        ingest(p, weeks_range(2))
+    with pytest.raises(CorpusError, match=complaint):
+        load_corpus(p, FIRST_END, 2)
+
+
+def test_load_ili_csv_names_the_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "ili.csv"
+    p.write_bytes(b"week_ending,ili_pct\n2009-09-05,1.0\n2009-09-12,\xff\n")
+    with pytest.raises(CorpusError, match=r"ili.csv: line 3: not valid UTF-8"):
+        load_ili_csv(p)
 
 
 def test_load_corpus_warns_on_empty_weeks(tmp_path, caplog):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilitrack.classify import ClassifierModel, bucket_fractions, predict_proba, week_scores
 from ilitrack.corpus import WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
 from ilitrack.query import (
     GATE_QUERY,
@@ -24,7 +25,6 @@ from ilitrack.query import (
     match_rows,
     matches,
     parse_query,
-    query_fraction,
     query_fraction_series,
 )
 
@@ -311,13 +311,13 @@ def test_count_and_fraction():
     b = bucket(["flu is here", "nothing", "bad cough", "also nothing"])
     q = parse_query("flu cough")
     assert count_matches(q, b) == 2
-    assert query_fraction(q, b) == 0.5
+    assert query_fraction_series(q, [b]).values == (0.5,)
 
 
 def test_fraction_empty_bucket_raises():
     b = bucket([])
-    with pytest.raises(QueryError, match="week 1.*empty"):
-        query_fraction(parse_query("flu"), b)
+    with pytest.raises(QueryError, match=r"empty week bucket\(s\): 1"):
+        query_fraction_series(parse_query("flu"), [b])
 
 
 def test_query_fraction_series():
@@ -408,8 +408,9 @@ def queries(draw):
         return draw(st.nothing())
 
 
-def write_weeks(path, weeks_of_texts):
-    """One message per text, week by week, in file order; returns the texts."""
+def write_weeks(path, weeks_of_texts, shuffle=None):
+    """One message per text, week by week; the lines are in time order
+    unless shuffle (a random.Random) permutes them."""
     start = datetime(2009, 8, 30, tzinfo=timezone.utc)
     lines = []
     for w, texts in enumerate(weeks_of_texts):
@@ -419,7 +420,15 @@ def write_weeks(path, weeks_of_texts):
                 "id": f"w{w}m{i}", "timestamp": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
                 "author": "a", "text": text,
             }))
+    if shuffle is not None:
+        shuffle.shuffle(lines)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_buckets(path, weeks):
+    """bucket_weekly(ingest(...)) of weeks 1..weeks: the per-message oracle."""
+    date_range = (SAT1 - timedelta(days=6), SAT1 + timedelta(days=7 * weeks - 7))
+    return bucket_weekly(ingest(path, date_range), SAT1, weeks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -429,7 +438,7 @@ def test_columnar_matching_agrees_with_matches(query, weeks_of_texts):
         p = Path(tmp) / "msgs.jsonl"
         write_weeks(p, weeks_of_texts)
         corpus = load_corpus(p, SAT1, 3)
-        buckets = bucket_weekly(ingest(p, (SAT1 - timedelta(days=6), SAT1 + timedelta(days=14))), SAT1, 3)
+        buckets = reference_buckets(p, 3)
     rows = dict(zip(corpus.ids, match_rows(query, corpus).tolist()))
     for b in buckets:
         for tm in b.messages:
@@ -453,6 +462,43 @@ def test_corpus_fraction_series_rejects_empty_weeks_like_the_oracle(tmp_path):
     with pytest.raises(QueryError) as columnar:
         corpus_fraction_series(GATE_QUERY, corpus)
     with pytest.raises(QueryError) as oracle:
-        query_fraction_series(GATE_QUERY, corpus.week_buckets())
+        query_fraction_series(GATE_QUERY, reference_buckets(p, 4))
     assert str(columnar.value) == str(oracle.value)
     assert "cannot compute fractions over empty week bucket(s): 2, 4" in str(columnar.value)
+
+
+# Small hand-built classifiers over the same words. Weights of 0 put a
+# probability at exactly 0.5, which the hard fraction must not keep.
+@st.composite
+def classifiers(draw):
+    words = sorted(draw(st.sets(st.sampled_from(COLUMN_WORDS + ("http",)), max_size=5)))
+    weight = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+    return ClassifierModel(
+        vocabulary={w: i for i, w in enumerate(words, start=1)},
+        theta=tuple(draw(st.lists(weight, min_size=len(words) + 1, max_size=len(words) + 1))),
+        l2_lambda=1.0,
+        trained_on="hand",
+        converged=True,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    queries(),
+    classifiers(),
+    st.lists(st.lists(MESSAGE_TEXTS, min_size=1, max_size=6), min_size=3, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_week_scores_agree_with_bucket_fractions(query, model, weeks_of_texts, shuffle):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "msgs.jsonl"
+        write_weeks(p, weeks_of_texts, shuffle)
+        scores = week_scores(query, load_corpus(p, SAT1, 3), model)
+        buckets = reference_buckets(p, 3)
+    assert [(s.week_index, s.total) for s in scores] == [(b.week_index, len(b)) for b in buckets]
+    # The same probabilities in the same (timestamp, id) order, and equal
+    # fractions: ==, not approx.
+    assert [s.probs for s in scores] == [
+        tuple(predict_proba(model, tm) for tm in b.messages if matches(query, tm)) for b in buckets
+    ]
+    assert [s.fractions() for s in scores] == [bucket_fractions(query, b, model) for b in buckets]

@@ -5,10 +5,12 @@ import math
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ilitrack.classify import ClassifierModel, bucket_fractions
+from ilitrack.classify import ClassifierModel, WeekScores, bucket_fractions, predict_proba
 from ilitrack.corpus import WeekBucket
-from ilitrack.query import GATE_QUERY
+from ilitrack.query import GATE_QUERY, GATE_QUERY_TEXT, matches, parse_query
 from ilitrack.regress import RegressionModel, clamp_fraction, predict
 from ilitrack.simulate import (
     DEFAULT_AUTHOR_MARKERS,
@@ -24,6 +26,7 @@ from ilitrack.simulate import (
     inject,
     mse_vs_baseline,
     report_csv,
+    method_series,
     run_simulation,
     summary_json,
 )
@@ -228,6 +231,18 @@ def identity_models():
     return {name: m for name in METHODS}
 
 
+def scores_of(buckets, classifier, query=GATE_QUERY):
+    """The WeekScores that week_scores makes of a corpus with these buckets."""
+    return [
+        WeekScores(
+            b.week_index,
+            len(b.messages),
+            tuple(predict_proba(classifier, tm) for tm in b.messages if matches(query, tm)),
+        )
+        for b in buckets
+    ]
+
+
 def wide_buckets(matches_per_week=(3, 4), total=10):
     buckets = []
     for w, k in enumerate(matches_per_week, start=1):
@@ -247,9 +262,8 @@ def test_run_simulation_zero_schedule_has_zero_mse():
     buckets = wide_buckets()
     pool = small_pool()
     sched = InjectionSchedule(pairs=((1, 0), (2, 0)))
-    report = run_simulation(
-        buckets, pool, sched, identity_models(), keep_all_classifier(), seed=5
-    )
+    clf = keep_all_classifier()
+    report = run_simulation(scores_of(buckets, clf), pool, sched, identity_models(), clf, seed=5)
     assert report.estimates == report.baselines
     assert mse_vs_baseline(report) == {m: 0.0 for m in METHODS}
 
@@ -260,7 +274,7 @@ def test_run_simulation_keyword_estimate_closed_form():
     sched = InjectionSchedule(pairs=((1, 5),))
     models = identity_models()
     clf = keep_all_classifier()
-    report = run_simulation(buckets, pool, sched, models, clf, seed=2)
+    report = run_simulation(scores_of(buckets, clf), pool, sched, models, clf, seed=2)
     # Week 1: 3 of 10 match at baseline; all 5 injected messages match the
     # gate, so 8 of 15 match after injection. Identity link makes the
     # estimate the clamped fraction itself, in percent.
@@ -291,7 +305,7 @@ def test_run_simulation_rejecting_classifier_dilutes_instead_of_inflating():
     buckets = wide_buckets(matches_per_week=(3, 3), total=12)
     pool = small_pool()
     sched = InjectionSchedule(pairs=((1, 0), (2, 30)))
-    report = run_simulation(buckets, pool, sched, identity_models(), clf, seed=7)
+    report = run_simulation(scores_of(buckets, clf), pool, sched, identity_models(), clf, seed=7)
     assert report.estimates["keywords"][1] > report.baselines["keywords"][1]
     assert report.estimates["classify-hard"][1] < report.baselines["classify-hard"][1]
     mses = mse_vs_baseline(report)
@@ -305,11 +319,99 @@ def test_run_simulation_rejecting_classifier_dilutes_instead_of_inflating():
 def test_run_simulation_requires_all_models():
     models = identity_models()
     del models["classify-soft"]
+    clf = keep_all_classifier()
     with pytest.raises(SimulationError, match="classify-soft"):
         run_simulation(
-            wide_buckets(), small_pool(), InjectionSchedule(pairs=((1, 1),)),
-            models, keep_all_classifier(), seed=0,
+            scores_of(wide_buckets(), clf), small_pool(), InjectionSchedule(pairs=((1, 1),)),
+            models, clf, seed=0,
         )
+
+
+def test_run_simulation_schedule_week_outside_the_scores():
+    clf = keep_all_classifier()
+    with pytest.raises(SimulationError, match=r"\[7\] not present"):
+        run_simulation(
+            scores_of(wide_buckets(), clf), small_pool(), InjectionSchedule(pairs=((7, 1),)),
+            identity_models(), clf, seed=0,
+        )
+
+
+POOL_TEXTS = (
+    "flu closures reported",
+    "cough outbreak coverage",
+    "ap says flu shot lines are long",
+    "health officials warn of headache and cough",
+    "sore throat clinics close early",
+)
+WEEK_TEXTS = ("flu report", "quiet day", "cough again", "flu shot today", "closures downtown")
+QUERIES = (GATE_QUERY_TEXT, "flu", "cough -outbreak", "flu +shot", '"sore throat" closures')
+
+
+def varied_pool():
+    return build_spurious_pool(
+        [msg(id=f"n{i}", author="newsdesk", text=t) for i, t in enumerate(POOL_TEXTS)]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(WEEK_TEXTS), min_size=1, max_size=8), min_size=4, max_size=4),
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 40)),
+        min_size=1, max_size=4, unique_by=lambda pair: pair[0],
+    ),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(QUERIES),
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+)
+def test_run_simulation_equals_bucket_fractions_over_inject(weeks, pairs, seed, query_text, theta):
+    # Schedules come with zero counts and weeks out of order; some queries
+    # reject some pool messages, whose picks then only swell the total.
+    buckets = [
+        WeekBucket(
+            week_index=w,
+            end_date=date(2009, 9, 5 + 7 * (w - 1)),
+            messages=tuple(tmsg(t, id=f"w{w}m{i}") for i, t in enumerate(texts)),
+        )
+        for w, texts in enumerate(weeks, start=1)
+    ]
+    query = parse_query(query_text)
+    pool = varied_pool()
+    clf = ClassifierModel(
+        vocabulary={"closures": 1, "cough": 2, "flu": 3}, theta=tuple(theta),
+        l2_lambda=1.0, trained_on="t", converged=True,
+    )
+    models = {
+        name: RegressionModel(beta1=0.5 + i, beta2=-1.0, train_weeks=(1, 2, 3))
+        for i, name in enumerate(METHODS)
+    }
+    schedule = InjectionSchedule(pairs=tuple(pairs))
+    scores = scores_of(buckets, clf, query)
+    report = run_simulation(scores, pool, schedule, models, clf, seed, query)
+
+    def oracle(bucket_list):
+        by_week = {b.week_index: b for b in bucket_list}
+        fractions = [bucket_fractions(query, by_week[w], clf) for w in schedule.weeks]
+        totals = [len(by_week[w]) for w in schedule.weeks]
+        return {
+            name: tuple(
+                100.0 * predict(models[name], clamp_fraction(f[i], t))
+                for f, t in zip(fractions, totals)
+            )
+            for i, name in enumerate(METHODS)
+        }
+
+    assert report.baselines == oracle(buckets)
+    assert report.estimates == oracle(inject(buckets, pool, schedule, seed))
+
+
+def test_method_series_clamps_each_method_off_the_boundary():
+    scores = [WeekScores(1, 4, (0.9, 0.2)), WeekScores(2, 4, ())]
+    series = method_series(scores)
+    assert series["keywords"].values == (0.5, 0.125)
+    assert series["classify-soft"].values == (1.1 / 4, 0.125)
+    assert series["classify-hard"].values == (0.25, 0.125)
+    assert all(s.week_indices == (1, 2) for s in series.values())
 
 
 def test_report_validation():
@@ -328,10 +430,10 @@ def test_report_validation():
 
 
 def test_report_csv_layout():
-    buckets = wide_buckets()
+    clf = keep_all_classifier()
     report = run_simulation(
-        buckets, small_pool(), InjectionSchedule(pairs=((1, 0), (2, 6))),
-        identity_models(), keep_all_classifier(), seed=1,
+        scores_of(wide_buckets(), clf), small_pool(), InjectionSchedule(pairs=((1, 0), (2, 6))),
+        identity_models(), clf, seed=1,
     )
     text = report_csv(report)
     lines = text.strip().split("\n")
@@ -344,11 +446,11 @@ def test_report_csv_layout():
 
 
 def test_summary_json_contents():
-    buckets = wide_buckets()
+    clf = keep_all_classifier()
     pool = small_pool()
     report = run_simulation(
-        buckets, pool, InjectionSchedule(pairs=((1, 0), (2, 6))),
-        identity_models(), keep_all_classifier(), seed=9,
+        scores_of(wide_buckets(), clf), pool, InjectionSchedule(pairs=((1, 0), (2, 6))),
+        identity_models(), clf, seed=9,
     )
     doc = json.loads(summary_json(report, pool, seed=9))
     assert doc["seed"] == 9

@@ -120,6 +120,15 @@ def test_config_from_json_rejects_unknown_and_missing_seed():
         SynthConfig.from_json('{"weeks": 3}')
 
 
+@pytest.mark.parametrize("text", [
+    "", "not json", "[1]", '"seed"', '{"seed": "one"}', '{"seed": 1, "ili_curve": 5}',
+    '{"seed": 1, "first_week_end": "Saturday"}', '{"seed": 1, "weeks": null}',
+])
+def test_config_from_json_rejects_malformed_documents(text):
+    with pytest.raises(SynthError, match="bad config document"):
+        SynthConfig.from_json(text)
+
+
 # --- generate -----------------------------------------------------------------
 
 
