@@ -24,7 +24,7 @@ import os
 import sys
 from datetime import timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -456,14 +456,25 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         raise CliError(f"bad run.json: {exc}") from None
     if command not in ("synth", "fraction", "classify", "simulate"):
         raise CliError(f"run.json names unknown command {command!r}")
-    return main([command, *argv, "--out", str(args.out)])
+    recorded = build_parser(_RunJsonParser).parse_args([command, *argv, "--out", str(args.out)])
+    return recorded.func(recorded)
+
+
+class _RunJsonParser(argparse.ArgumentParser):
+    """Reads a run.json's argv, where a bad flag (--help too) is bad input."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs, add_help=False)
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(f"bad run.json: {message}")
 
 
 # --- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="ilitrack",
         description="Estimate weekly ILI rates from short-text message streams.",
     )

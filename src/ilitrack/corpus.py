@@ -11,11 +11,10 @@ import gc
 import json
 import logging
 import re
-from collections import defaultdict
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -100,10 +99,7 @@ def tokenize(text: str) -> list[str]:
     Deterministic and insensitive to surrounding whitespace. Punctuation
     separates tokens except apostrophes, which bind ("i've" is one token).
     """
-    return _tokens_of_lowered(text.lower())
-
-
-def _tokens_of_lowered(lowered: str) -> list[str]:
+    lowered = text.lower()
     if "http" in lowered:
         lowered = _URL_RE.sub(" http ", lowered)
     runs = _TOKEN_RE.findall(lowered)
@@ -333,8 +329,9 @@ class Corpus:
 
     Rows are in file order. Row r is message ids[r], posted at POSIX second
     seconds[r], with authors[r] and texts[r]; week[r] is its 1-based week
-    index. Its tokens are token_ids[offsets[r]:offsets[r + 1]], ids into
-    vocabulary (token -> id, numbered in order of first appearance).
+    index. lowered is every texts[r].lower() joined by "\n", row r starting
+    at lowered[starts[r]]; a query searches it for the rows that may hold
+    its tokens (query.match_rows).
     """
 
     first_week_end: date
@@ -344,9 +341,8 @@ class Corpus:
     authors: list[str]
     texts: list[str]
     week: np.ndarray
-    token_ids: np.ndarray
-    offsets: np.ndarray
-    vocabulary: dict[str, int]
+    lowered: str
+    starts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -363,19 +359,15 @@ class Corpus:
         """The TokenizedMessages bucket_weekly holds for the given rows, in
         (timestamp, id) order. Weeks follow timestamps, so the messages of
         one week are contiguous and the weeks ascend."""
-        vocabulary = list(self.vocabulary)
-        offsets = self.offsets.tolist()
         seconds = self.seconds.tolist()
         out = []
         for r in sorted(map(int, rows), key=lambda r: (seconds[r], self.ids[r])):
-            message = Message(
+            out.append(tokenize_message(Message(
                 id=self.ids[r],
                 timestamp=datetime.fromtimestamp(seconds[r], timezone.utc),
                 author=self.authors[r],
                 text=self.texts[r],
-            )
-            tokens = self.token_ids[offsets[r] : offsets[r + 1]].tolist()
-            out.append(TokenizedMessage(message, tuple(vocabulary[i] for i in tokens)))
+            )))
         return out
 
 
@@ -388,8 +380,10 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
     in the layout messages_jsonl writes are read by one regular expression
     over the whole file and checked column by column; other lines are
     decoded one by one. When any check fails, ingest reads the file again
-    to raise its error, which names the first bad line.
+    to raise its error, which names the first bad line. No text is tokenized
+    here; a query tokenizes only the rows that hold its tokens.
     """
+    began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
     start = first_week_end - timedelta(days=6)
     end = first_week_end + timedelta(days=7 * (weeks - 1))
@@ -404,7 +398,7 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
         keep = np.flatnonzero(inside)
         ids, authors, texts = ([column[r] for r in keep.tolist()] for column in (ids, authors, texts))
         seconds, ordinal = seconds[keep], ordinal[keep]
-    vocabulary, token_ids, offsets = _intern_tokens(texts)
+    lowered, starts = _lowered_rows(texts)
     corpus = Corpus(
         first_week_end=first_week_end,
         weeks=weeks,
@@ -413,12 +407,25 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
         authors=authors,
         texts=texts,
         week=(ordinal - first_week_end.toordinal() + 6) // 7 + 1,
-        token_ids=token_ids,
-        offsets=offsets,
-        vocabulary=vocabulary,
+        lowered=lowered,
+        starts=starts,
+    )
+    log.info(
+        "load_corpus %s: %d rows read, %d kept in weeks 1..%d, %.3f s",
+        path, len(columns[0]), len(corpus), weeks, time.perf_counter() - began,
     )
     _warn_empty(corpus.totals())
     return corpus
+
+
+@_collector_paused()
+def _lowered_rows(texts: Sequence[str]) -> tuple[str, np.ndarray]:
+    """Each text lowered on its own, as tokenize lowers it (str.lower maps Σ
+    by its neighbours), joined by "\n"; and where each row starts in that."""
+    lowered = [text.lower() for text in texts]
+    lengths = np.fromiter(map(len, lowered), dtype=np.int64, count=len(lowered))
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    return "\n".join(lowered), starts
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -507,56 +514,6 @@ def _posix_seconds(stamps: list[str]) -> np.ndarray | None:
     day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
     days = era * 146097 + day_of_era - 719468
     return days * 86400 + hour * 3600 + minute * 60 + second
-
-
-# Texts split into words at a time. Word lists for a whole corpus of
-# 360k messages would raise the peak memory of a load by half.
-_CHUNK_TEXTS = 20000
-
-
-@_collector_paused()
-def _intern_tokens(texts: Sequence[str]) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-    r"""tokenize() of every text as (vocabulary, token_ids, offsets).
-
-    tokenize never joins characters across whitespace (its URL rule's \S*
-    and its token class [\w'] both stop there), so a text's tokens are the
-    tokens of its lowercased words, in order. Each distinct word is
-    tokenized once; every occurrence then copies its word's token ids.
-    """
-    word_ids: defaultdict[str, int] = defaultdict()
-    word_ids.default_factory = word_ids.__len__
-    occurrences: list[np.ndarray] = []
-    words_per_text: list[np.ndarray] = []
-    for i in range(0, len(texts), _CHUNK_TEXTS):
-        words = [text.lower().split() for text in texts[i : i + _CHUNK_TEXTS]]
-        counts = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-        occurrences.append(
-            np.fromiter(
-                map(word_ids.__getitem__, chain.from_iterable(words)),
-                dtype=np.int64,
-                count=int(counts.sum()),
-            )
-        )
-        words_per_text.append(counts)
-    vocabulary: dict[str, int] = {}
-    word_tokens = [
-        [vocabulary.setdefault(tok, len(vocabulary)) for tok in _tokens_of_lowered(word)]
-        for word in word_ids
-    ]
-    per_word = np.fromiter(map(len, word_tokens), dtype=np.int64, count=len(word_tokens))
-    word_flat = np.fromiter(
-        chain.from_iterable(word_tokens), dtype=np.int32, count=int(per_word.sum())
-    )
-    word_start = np.cumsum(per_word) - per_word
-    occurrence = np.concatenate([np.zeros(0, dtype=np.int64), *occurrences])
-    per_occurrence = per_word[occurrence]
-    ends = np.cumsum(per_occurrence)
-    # Token j of an occurrence is token j of its word.
-    gather = np.repeat(word_start[occurrence] - (ends - per_occurrence), per_occurrence)
-    token_ids = word_flat[gather + np.arange(len(gather))]
-    word_ends = np.cumsum(np.concatenate([np.zeros(0, dtype=np.int64), *words_per_text]))
-    offsets = np.concatenate(([0], ends))[np.concatenate(([0], word_ends))]
-    return vocabulary, token_ids, offsets
 
 
 def _preview(ids: Sequence[str], limit: int = 5) -> str:

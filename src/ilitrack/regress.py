@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import read_text
+
 
 class RegressionError(ValueError):
     """Domain violations, misaligned series, or degenerate fits."""
@@ -98,20 +100,20 @@ class RegressionModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RegressionModel":
-        doc = json.loads(text)
         try:
+            doc = json.loads(text)
             return cls(
                 beta1=float(doc["beta1"]),
                 beta2=float(doc["beta2"]),
                 train_weeks=tuple(int(w) for w in doc["train_weeks"]),
                 eps_clamp=float(doc["eps_clamp"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RegressionError(f"bad regression model document: {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "RegressionModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(read_text(path, RegressionError))
 
 
 def fit(

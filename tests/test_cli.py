@@ -2,13 +2,18 @@
 
 import json
 import os
+import re
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+import ilitrack
 from ilitrack.cli import main
 from ilitrack.corpus import CorpusError, ingest
+from ilitrack.query import parse_query
 
 QUERY = 'flu cough headache "sore throat"'
 
@@ -147,6 +152,40 @@ def test_fraction_plain(work, tmp_path, capsys):
     assert est_lines[0] == "week,true_ili,estimate"
     assert len(est_lines) == 1 + 6 + 1
     assert est_lines[-1].startswith("# eval_pearson_logit=")
+
+
+def test_fraction_verbose_logs_load_and_match_on_stderr_only(work, tmp_path):
+    # A child process: logging.basicConfig does nothing under pytest's own
+    # log handlers, so only a fresh interpreter shows what -v prints.
+    def fraction(*flags, out):
+        return subprocess.run(
+            [sys.executable, "-m", "ilitrack.cli", *flags, "fraction",
+             "--messages", str(work["messages"]), "--ili", str(work["ili"]),
+             "--query", QUERY, "--seed", "0", "--train-weeks", "1:4",
+             "--eval-weeks", "5:6", "--out", str(out)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ilitrack.__file__).parents[1])},
+        )
+
+    quiet = fraction(out=tmp_path / "quiet")
+    verbose = fraction("-v", out=tmp_path / "verbose")
+    assert quiet.stderr == ""
+    assert re.search(
+        r"^INFO ilitrack\.corpus: load_corpus \S+: 1500 rows read, 1500 kept in weeks "
+        r"1\.\.6, [0-9.]+ s$", verbose.stderr, re.MULTILINE,
+    ), verbose.stderr
+    matched = sum(
+        int(line.split(",")[2])
+        for line in (tmp_path / "quiet" / "fractions.csv").read_text().splitlines()[1:]
+    )
+    found = re.search(
+        r"^INFO ilitrack\.query: match_rows (.*): (\d+) candidate rows, (\d+) confirmed, "
+        r"(\d+) matching, [0-9.]+ s$", verbose.stderr, re.MULTILINE,
+    )
+    assert found, verbose.stderr
+    assert found[1] == parse_query(QUERY).render()
+    assert int(found[2]) >= int(found[3]) >= int(found[4]) == matched > 0
+    assert read_tree(tmp_path / "verbose") == read_tree(tmp_path / "quiet")
 
 
 def test_fraction_noiseless_corpus_fits_truth(work, tmp_path, capsys):
@@ -479,6 +518,20 @@ def test_rerun_rejects_bad_run_files(tmp_path, capsys):
     p.write_text('{"argv": []}\n', encoding="utf-8")
     captured = run_fail(capsys, ["rerun", "--run", str(p), "--out", str(tmp_path / "o")])
     assert "bad run.json" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bogus"],  # an unknown flag
+    ["--weeks", "3"],  # --seed is required
+    ["--seed", "1", "--help"],  # would print usage and exit 0 with no outputs
+], ids=["unknown flag", "missing required flag", "help"])
+def test_rerun_rejects_bad_argv_with_one_error_line(tmp_path, capsys, argv):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"command": "synth", "argv": argv}), encoding="utf-8")
+    captured = run_fail(capsys, ["rerun", "--run", str(p), "--out", str(tmp_path / "o")])
+    assert captured.err.startswith("error: bad run.json: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 # --- malformed inputs -------------------------------------------------------------

@@ -22,6 +22,7 @@ from ilitrack.corpus import (
     tokenize_message,
     week_index_for,
 )
+from ilitrack.query import Query, Term, match_rows, matches
 
 from conftest import msg, tmsg, utc
 
@@ -319,24 +320,21 @@ def assert_holds_buckets(corpus, reference):
     assert corpus.tokenized(some) == [tm for tm in everything if tm.message.id in wanted]
 
 
-def row_tokens(corpus):
-    vocabulary = list(corpus.vocabulary)
-    offsets = corpus.offsets.tolist()
-    return [
-        [vocabulary[i] for i in corpus.token_ids[a:b].tolist()]
-        for a, b in zip(offsets, offsets[1:])
-    ]
-
-
 # Characters where a tokenizer that works word by word could go wrong:
 # Unicode spaces, line separators inside a text, final sigma, a lowercase
 # mapping that grows ("İ"), URLs, underscores and apostrophes.
 TRICKY = st.sampled_from([
     " ", "\t", "\n", "\u00a0", "\u2028", "\x1c", "\u03a3", "\u0391\u03a3", "\u0130",
     "http", "HTTPS://x.y/_a", "a_b", "_", "i've", "'", "flu", "Flu", ".", ",", "x", "1",
-    "\u0301",
+    "\u0301", "fluhttp", "x'",
 ])
 TEXTS = st.one_of(st.text(max_size=40), st.lists(TRICKY, max_size=12).map("".join))
+# Tokens that the pieces above produce, for queries over those texts.
+TRICKY_TOKENS = ("flu", "x", "x'", "i've", "i", "a", "b", "1", "http", "\u03c3", "\u03c2",
+                 "\u03b1\u03c2")
+TRICKY_TERMS = st.lists(st.sampled_from(TRICKY_TOKENS), min_size=1, max_size=3).map(
+    lambda tokens: Term(tokens=tuple(tokens))
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,7 +347,30 @@ def test_load_corpus_tokens_equal_tokenize(texts):
         write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])
         corpus = load_corpus(p, FIRST_END, 1)
     assert corpus.ids == [f"m{i}" for i in range(len(texts))]
-    assert row_tokens(corpus) == [tokenize(t) for t in texts]
+    assert corpus.texts == texts
+    ends = [*(corpus.starts[1:] - 1).tolist(), len(corpus.lowered)]
+    assert [corpus.lowered[a:b] for a, b in zip(corpus.starts.tolist(), ends)] == [
+        t.lower() for t in texts
+    ]
+    assert {tm.message.id: list(tm.tokens) for tm in corpus.tokenized(range(len(texts)))} == {
+        f"m{i}": tokenize(t) for i, t in enumerate(texts)
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(TEXTS, max_size=10),
+    st.frozensets(TRICKY_TERMS, min_size=1, max_size=3),
+    st.frozensets(st.frozensets(TRICKY_TERMS, min_size=1, max_size=2), max_size=2),
+)
+def test_match_rows_equals_matches(texts, base, excluded):
+    query = Query(base_terms=base, excluded=excluded)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "msgs.jsonl"
+        write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])
+        corpus = load_corpus(p, FIRST_END, 1)
+    expected = [matches(query, tmsg(t, id=f"m{i}")) for i, t in enumerate(texts)]
+    assert match_rows(query, corpus).tolist() == expected, query.render()
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from ilitrack.query import (
     QueryFractionSeries,
     QueryParseError,
     Term,
+    _token_rows,
     corpus_fraction_series,
     count_matches,
     match_rows,
@@ -453,6 +454,20 @@ def test_columnar_phrase_never_straddles_messages(tmp_path):
     rows = match_rows(parse_query('"sore throat"'), corpus)
     assert rows.tolist() == [False, False, False, True, False, False]
     assert match_rows(parse_query("absent"), corpus).tolist() == [False] * 6
+
+
+def test_columnar_matching_at_token_edges(tmp_path):
+    p = tmp_path / "msgs.jsonl"
+    write_weeks(p, [["fluhttp://x", "influenza", "http://flu.example", "flu_shot", "flu's"]])
+    corpus = load_corpus(p, SAT1, 1)
+    assert match_rows(parse_query("flu"), corpus).tolist() == [True, False, False, True, False]
+    assert match_rows(parse_query('"flu shot"'), corpus).tolist() == [
+        False, False, False, True, False
+    ]
+    # The regex step may keep rows the oracle then rejects (the "flu" inside
+    # a URL), but none where a token character touches the word.
+    assert _token_rows("flu", corpus).tolist() == [0, 2, 3]
+    assert _token_rows("http", corpus).tolist() == [0, 2]
 
 
 def test_corpus_fraction_series_rejects_empty_weeks_like_the_oracle(tmp_path):

@@ -213,9 +213,15 @@ def test_model_json_round_trip(tmp_path):
     assert RegressionModel.load(p) == model
 
 
-def test_model_from_json_rejects_missing_fields():
-    with pytest.raises(RegressionError, match="bad regression model"):
-        RegressionModel.from_json('{"beta1": 1.0}')
+def test_model_from_json_rejects_missing_fields(tmp_path):
+    for text in ('{"beta1": 1.0}', "", "not json", "[1.0, 0.4]", '"beta1"',
+                 '{"beta1": "one", "beta2": 0, "train_weeks": [1], "eps_clamp": 0}'):
+        with pytest.raises(RegressionError, match="bad regression model"):
+            RegressionModel.from_json(text)
+    p = tmp_path / "model.json"
+    p.write_bytes(b'{"beta1": \xff}\n')
+    with pytest.raises(RegressionError, match="line 1: not valid UTF-8"):
+        RegressionModel.load(p)
 
 
 # --- pearson / mse -------------------------------------------------------------------
