@@ -24,6 +24,7 @@ from .corpus import (
     CorpusError,
     TokenizedMessage,
     WeekBucket,
+    json_int,
     message_from_record,
     read_records,
     read_text,
@@ -108,8 +109,7 @@ class ClassifierModel:
         indices = sorted(self.vocabulary.values())
         if indices != list(range(1, len(self.vocabulary) + 1)):
             raise ClassifierError("vocabulary indices must be exactly 1..V")
-        if self.l2_lambda < 0:
-            raise ClassifierError("l2_lambda must be >= 0")
+        _check_l2_lambda(self.l2_lambda)
 
     def to_json(self) -> str:
         doc = {
@@ -126,7 +126,7 @@ class ClassifierModel:
         try:
             doc = json.loads(text)
             fields = dict(
-                vocabulary={str(k): int(v) for k, v in doc["vocabulary"].items()},
+                vocabulary={str(k): json_int(v) for k, v in doc["vocabulary"].items()},
                 theta=tuple(float(t) for t in doc["theta"]),
                 l2_lambda=float(doc["l2_lambda"]),
                 trained_on=str(doc["trained_on"]),
@@ -196,6 +196,11 @@ def loss_and_grad(
     return loss, grad
 
 
+def _check_l2_lambda(l2_lambda: float) -> None:
+    if not 0 <= l2_lambda < math.inf:
+        raise ClassifierError(f"l2_lambda must be finite and >= 0, got {l2_lambda}")
+
+
 def _fingerprint(data: Sequence[LabeledMessage]) -> str:
     lines = sorted(f"{lm.message.message.id}\t{lm.label}" for lm in data)
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
@@ -217,6 +222,7 @@ def train(
     that exhausts its iteration budget is returned with converged=False and
     a logged warning, never silently.
     """
+    _check_l2_lambda(l2_lambda)
     if not data:
         raise ClassifierError("no labeled messages")
     labels = {lm.label for lm in data}

@@ -83,35 +83,33 @@ class WeekBucket:
         return len(self.messages)
 
 
+# A token is a maximal run of Unicode letters, digits and apostrophes in a
+# text as normalize() leaves it, where underscores are already spaces.
+_TOKEN_CHARS = r"\w'"
+_TOKEN_RE = re.compile(f"[{_TOKEN_CHARS}]+")
 # A whitespace-free span starting with "http" collapses to the bare token
 # "http" so link-bearing messages stay matchable by that keyword.
 _URL_RE = re.compile(r"http\S*")
-# A token is a maximal run of Unicode letters, digits, and apostrophes;
-# underscores split tokens. The single class [\w']+ scans much faster than
-# the equivalent alternation (?:[^\W_]|')+, so match word runs first and
-# break them at underscores afterwards.
-_TOKEN_RE = re.compile(r"[\w']+")
+
+
+def normalize(text: str) -> str:
+    """text lowercased, each URL (a whitespace-free span from "http") made
+    " http ", and each newline and underscore made a space. Its tokens are
+    its maximal runs of letters, digits and apostrophes."""
+    lowered = text.lower().replace("\n", " ")
+    if "http" in lowered:
+        lowered = _URL_RE.sub(" http ", lowered)
+    return lowered.replace("_", " ")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase text and split it into tokens.
 
     Deterministic and insensitive to surrounding whitespace. Punctuation
-    separates tokens except apostrophes, which bind ("i've" is one token).
+    and underscores separate tokens except apostrophes, which bind ("i've"
+    is one token).
     """
-    lowered = text.lower()
-    if "http" in lowered:
-        lowered = _URL_RE.sub(" http ", lowered)
-    runs = _TOKEN_RE.findall(lowered)
-    if "_" not in lowered:
-        return runs
-    tokens: list[str] = []
-    for run in runs:
-        if "_" in run:
-            tokens.extend(part for part in run.split("_") if part)
-        else:
-            tokens.append(run)
-    return tokens
+    return _TOKEN_RE.findall(normalize(text))
 
 
 def tokenize_message(message: Message) -> TokenizedMessage:
@@ -196,6 +194,14 @@ def read_records(path: str | Path, error: type[ValueError]) -> Iterator[tuple[in
         if not isinstance(record, dict):
             raise error(f"line {line_no}: expected a JSON object")
         yield line_no, record
+
+
+def json_int(value: object) -> int:
+    """value if it is a JSON integer, else TypeError. int() would round 1.5,
+    read true as 1 and overflow on 1e400 (which JSON reads as infinity)."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
@@ -329,9 +335,9 @@ class Corpus:
 
     Rows are in file order. Row r is message ids[r], posted at POSIX second
     seconds[r], with authors[r] and texts[r]; week[r] is its 1-based week
-    index. lowered is every texts[r].lower() joined by "\n", row r starting
-    at lowered[starts[r]]; a query searches it for the rows that may hold
-    its tokens (query.match_rows).
+    index. normalized is every normalize(texts[r]) joined by "\n", row r
+    starting at normalized[starts[r]]; no row holds a "\n" of its own, so
+    rows_with finds a phrase's rows in it with one regular expression.
     """
 
     first_week_end: date
@@ -341,7 +347,7 @@ class Corpus:
     authors: list[str]
     texts: list[str]
     week: np.ndarray
-    lowered: str
+    normalized: str
     starts: np.ndarray
 
     def __len__(self) -> int:
@@ -353,6 +359,25 @@ class Corpus:
     def totals(self) -> list[int]:
         """Number of messages in each week, weeks 1..weeks."""
         return np.bincount(self.week, minlength=self.weeks + 1)[1:].tolist()
+
+    def rows_with(self, tokens: Sequence[str]) -> np.ndarray:
+        """One bool per row: whether tokens appear contiguously and in order
+        in tokenize(texts[r]).
+
+        A row's tokens are its maximal runs of token characters in
+        normalized, so the phrase is its tokens, a token character on
+        neither side, and runs of other characters between them that stay
+        inside the row. The first token leads the pattern, so the engine
+        finds it by plain string search."""
+        first = re.escape(tokens[0])
+        pattern = f"{first}(?<![{_TOKEN_CHARS}]{first})"
+        for token in tokens[1:]:
+            pattern += f"[^{_TOKEN_CHARS}\\n]+{re.escape(token)}"
+        pattern += f"(?![{_TOKEN_CHARS}])"
+        at = np.fromiter((m.start() for m in re.finditer(pattern, self.normalized)), np.int64)
+        rows = np.zeros(len(self), dtype=bool)
+        rows[np.searchsorted(self.starts, at, side="right") - 1] = True
+        return rows
 
     @_collector_paused()
     def tokenized(self, rows: Iterable[int]) -> list[TokenizedMessage]:
@@ -381,7 +406,8 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
     over the whole file and checked column by column; other lines are
     decoded one by one. When any check fails, ingest reads the file again
     to raise its error, which names the first bad line. No text is tokenized
-    here; a query tokenizes only the rows that hold its tokens.
+    here: each is normalized once, and a query finds its rows in that text
+    (Corpus.rows_with).
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
@@ -398,7 +424,7 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
         keep = np.flatnonzero(inside)
         ids, authors, texts = ([column[r] for r in keep.tolist()] for column in (ids, authors, texts))
         seconds, ordinal = seconds[keep], ordinal[keep]
-    lowered, starts = _lowered_rows(texts)
+    normalized, starts = _normalized_rows(texts)
     corpus = Corpus(
         first_week_end=first_week_end,
         weeks=weeks,
@@ -407,7 +433,7 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
         authors=authors,
         texts=texts,
         week=(ordinal - first_week_end.toordinal() + 6) // 7 + 1,
-        lowered=lowered,
+        normalized=normalized,
         starts=starts,
     )
     log.info(
@@ -419,13 +445,13 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
 
 
 @_collector_paused()
-def _lowered_rows(texts: Sequence[str]) -> tuple[str, np.ndarray]:
-    """Each text lowered on its own, as tokenize lowers it (str.lower maps Σ
-    by its neighbours), joined by "\n"; and where each row starts in that."""
-    lowered = [text.lower() for text in texts]
-    lengths = np.fromiter(map(len, lowered), dtype=np.int64, count=len(lowered))
+def _normalized_rows(texts: Sequence[str]) -> tuple[str, np.ndarray]:
+    """Each text normalized on its own (str.lower maps Σ by its neighbours),
+    joined by "\n"; and where each row starts in that."""
+    normalized = list(map(normalize, texts))
+    lengths = np.fromiter(map(len, normalized), dtype=np.int64, count=len(normalized))
     starts = np.cumsum(lengths + 1) - (lengths + 1)
-    return "\n".join(lowered), starts
+    return "\n".join(normalized), starts
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()

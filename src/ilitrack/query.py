@@ -16,11 +16,9 @@ satisfied; any hit in a -group disqualifies the message.
 from __future__ import annotations
 
 import logging
-import re
 import time
 from dataclasses import dataclass, field
 from datetime import date
-from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -405,60 +403,22 @@ def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> QueryF
 # --- columnar matching -------------------------------------------------------
 
 
-# A character tokens are made of: corpus._TOKEN_RE's class less the underscore.
-_TOKEN_CHAR = r"(?:[^\W_]|')"
-
-
-def _token_rows(token: str, corpus: Corpus) -> np.ndarray:
-    """Ascending rows whose lowercased text may hold token as a token.
-
-    tokenize() lowercases a text, turns each URL (a whitespace-free span
-    from "http") into " http " and splits the rest into maximal runs of
-    token characters. So each of its tokens but "http" appears in t.lower()
-    with no token character before it and, after it, either none or the
-    start of a URL ("fluhttp://x" holds "flu"); a URL span ends only at
-    whitespace, so nothing after one touches a token. The token "http" comes
-    only from a URL. The literal leads the regex, so the engine finds it by
-    plain string search."""
-    pattern = "http"
-    if token != "http":
-        literal = re.escape(token)
-        pattern = f"{literal}(?<!{_TOKEN_CHAR}{literal})(?:(?!{_TOKEN_CHAR})|(?=http))"
-    at = np.fromiter((m.start() for m in re.finditer(pattern, corpus.lowered)), dtype=np.int64)
-    return np.unique(np.searchsorted(corpus.starts, at, side="right") - 1)
-
-
-def _any_term_rows(
-    terms: Iterable[Term], corpus: Corpus, among: np.ndarray | None, checked: list[int]
-) -> np.ndarray:
-    """Boolean per corpus row: some term.found_in(that row's tokens), on the
-    rows where among is True (every row when among is None). The rows that
-    hold a term's tokens are its candidates; tokenize() and found_in decide
-    each one, and checked counts the candidates and the confirmed ones."""
-    rows = np.zeros(len(corpus), dtype=bool)
-    for term in terms:
-        candidates = reduce(np.intersect1d, (_token_rows(t, corpus) for t in set(term.tokens)))
-        if among is not None:
-            candidates = candidates[among[candidates]]
-        hits = [r for r in candidates.tolist() if term.found_in(tokenize(corpus.texts[r]))]
-        rows[hits] = True
-        checked[0] += len(candidates)
-        checked[1] += len(hits)
-    return rows
+def _rows_with_any(terms: Iterable[Term], corpus: Corpus) -> np.ndarray:
+    """Boolean per corpus row: some term.found_in(that row's tokens)."""
+    return np.logical_or.reduce([corpus.rows_with(term.tokens) for term in terms])
 
 
 def match_rows(query: Query, corpus: Corpus) -> np.ndarray:
     """Boolean per corpus row: matches(query, that row's message)."""
     began = time.perf_counter()
-    checked = [0, 0]
-    rows = _any_term_rows(query.base_terms, corpus, None, checked)
+    rows = _rows_with_any(query.base_terms, corpus)
     for group in query.required:
-        rows &= _any_term_rows(group, corpus, rows, checked)
+        rows &= _rows_with_any(group, corpus)
     for group in query.excluded:
-        rows &= ~_any_term_rows(group, corpus, rows, checked)
+        rows &= ~_rows_with_any(group, corpus)
     log.info(
-        "match_rows %s: %d candidate rows, %d confirmed, %d matching, %.3f s",
-        query.render(), *checked, int(rows.sum()), time.perf_counter() - began,
+        "match_rows %s: %d matching rows, %.3f s",
+        query.render(), int(rows.sum()), time.perf_counter() - began,
     )
     return rows
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import read_text
+from .corpus import json_int, read_text
 
 
 class RegressionError(ValueError):
@@ -105,7 +105,7 @@ class RegressionModel:
             return cls(
                 beta1=float(doc["beta1"]),
                 beta2=float(doc["beta2"]),
-                train_weeks=tuple(int(w) for w in doc["train_weeks"]),
+                train_weeks=tuple(json_int(w) for w in doc["train_weeks"]),
                 eps_clamp=float(doc["eps_clamp"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

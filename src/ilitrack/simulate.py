@@ -18,7 +18,7 @@ import numpy as np
 
 from .classify import bucket_fractions  # noqa: F401  (perfbench/spans.py wraps it here)
 from .classify import ClassifierModel, WeekScores, predict_proba
-from .corpus import Message, TokenizedMessage, WeekBucket, tokenize, tokenize_message
+from .corpus import Message, TokenizedMessage, WeekBucket, json_int, tokenize, tokenize_message
 from .query import GATE_QUERY, Query, Term, matches
 from .regress import RegressionModel, WeeklySeries, clamp_fraction, predict
 
@@ -84,7 +84,7 @@ class InjectionSchedule:
     def from_json(cls, text: str) -> "InjectionSchedule":
         try:
             doc = json.loads(text)
-            pairs = tuple((int(w), int(n)) for w, n in doc["pairs"])
+            pairs = tuple((json_int(w), json_int(n)) for w, n in doc["pairs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"bad schedule document: {exc}") from None
         return cls(pairs=pairs)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classify import LabeledMessage
-from .corpus import Message, tokenize, tokenize_message
+from .corpus import Message, json_int, tokenize, tokenize_message
 from .query import GATE_QUERY, matches
 from .regress import logit, sigmoid
 
@@ -188,11 +188,11 @@ class SynthConfig:
         if "seed" not in doc:
             raise SynthError("config must set 'seed'")
         try:
-            kwargs: dict = {"seed": int(doc["seed"])}
+            kwargs: dict = {"seed": json_int(doc["seed"])}
             if "weeks" in doc:
-                kwargs["weeks"] = int(doc["weeks"])
+                kwargs["weeks"] = json_int(doc["weeks"])
             if "messages_per_week" in doc:
-                kwargs["messages_per_week"] = int(doc["messages_per_week"])
+                kwargs["messages_per_week"] = json_int(doc["messages_per_week"])
             if "first_week_end" in doc:
                 kwargs["first_week_end"] = date.fromisoformat(doc["first_week_end"])
             for name in ("true_beta1", "true_beta2", "noise_sd", "spurious_rate"):
@@ -392,6 +392,9 @@ def _validate_config(config: SynthConfig) -> None:
     for w, p in enumerate(config.ili_curve, start=1):
         if not 0.0 < p < 1.0:
             raise SynthError(f"week {w}: ili value {p} outside (0, 1)")
+    for name in ("noise_sd", "true_beta1", "true_beta2"):
+        if not math.isfinite(getattr(config, name)):
+            raise SynthError(f"{name} must be finite, got {getattr(config, name)}")
     if config.noise_sd < 0:
         raise SynthError("noise_sd must be >= 0")
     if not 0.0 <= config.spurious_rate < 1.0:

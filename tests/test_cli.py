@@ -1,18 +1,23 @@
 """End-to-end CLI behavior on small corpora."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
-from datetime import date
+import tempfile
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ilitrack
 from ilitrack.cli import main
-from ilitrack.corpus import CorpusError, ingest
+from ilitrack.corpus import CorpusError, ingest, load_corpus
 from ilitrack.query import parse_query
 
 QUERY = 'flu cough headache "sore throat"'
@@ -179,12 +184,12 @@ def test_fraction_verbose_logs_load_and_match_on_stderr_only(work, tmp_path):
         for line in (tmp_path / "quiet" / "fractions.csv").read_text().splitlines()[1:]
     )
     found = re.search(
-        r"^INFO ilitrack\.query: match_rows (.*): (\d+) candidate rows, (\d+) confirmed, "
-        r"(\d+) matching, [0-9.]+ s$", verbose.stderr, re.MULTILINE,
+        r"^INFO ilitrack\.query: match_rows (.*): (\d+) matching rows, [0-9.]+ s$",
+        verbose.stderr, re.MULTILINE,
     )
     assert found, verbose.stderr
     assert found[1] == parse_query(QUERY).render()
-    assert int(found[2]) >= int(found[3]) >= int(found[4]) == matched > 0
+    assert int(found[2]) == matched > 0
     assert read_tree(tmp_path / "verbose") == read_tree(tmp_path / "quiet")
 
 
@@ -395,6 +400,26 @@ def test_classify_too_few_per_class(work, tmp_path, capsys):
     assert "of each class" in captured.err
 
 
+@pytest.mark.parametrize("command, flag, complaint", [
+    ("synth", "--noise-sd", "noise_sd must be finite"),
+    ("classify", "--lambda", "l2_lambda must be finite"),
+    ("simulate", "--lambda", "l2_lambda must be finite"),
+], ids=["synth", "classify", "simulate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_flags_are_one_error_line(work, tmp_path, capsys, command, flag, complaint,
+                                             value):
+    # NaN would also be written to config.json or classifier.json, which no
+    # JSON reader accepts.
+    argv = {
+        "synth": ["synth", "--seed", "1", "--weeks", "3", "--messages-per-week", "20"],
+        "classify": ["classify", "--train", str(work["labeled"]), "--seed", "0", "--folds", "5"],
+        "simulate": ["simulate", "--messages", str(work["messages"]), "--ili", str(work["ili"]),
+                     "--train", str(work["labeled"]), "--seed", "1", "--train-weeks", "1:6"],
+    }[command]
+    captured = run_fail(capsys, argv + [flag, value, "--out", str(tmp_path / "out")])
+    assert captured.err.count("\n") == 1 and complaint in captured.err, captured.err
+
+
 # --- simulate --------------------------------------------------------------------
 
 
@@ -566,10 +591,28 @@ def loader_argv(loader, path, work):
 
 LOADERS = ("messages", "ili", "labeled", "classifier", "schedule file", "inline schedule",
            "run.json", "synth config")
+CLASSIFIER_DOC = '{"vocabulary": {"flu": %s}, "theta": [0.0, 1.0], "l2_lambda": 1.0, ' \
+    '"trained_on": "x", "converged": true}'
+# Integer fields hold JSON integers only: 1e400 reads as infinity, which
+# int() cannot convert, and int() would also round 1.5 and read true as 1.
+NOT_INTEGERS = {
+    ("inline schedule", "infinite count"): b'{"pairs": [[6, 1e400]]}',
+    ("inline schedule", "fractional count"): b'{"pairs": [[6, 1.5]]}',
+    ("schedule file", "boolean week"): b'{"pairs": [[true, 5]]}',
+    ("synth config", "infinite weeks"): b'{"seed": 1, "weeks": 1e400}',
+    ("synth config", "fractional weeks"): b'{"seed": 1, "weeks": 3.5}',
+    ("classifier", "infinite index"): (CLASSIFIER_DOC % "1e400").encode(),
+    ("classifier", "boolean index"): (CLASSIFIER_DOC % "true").encode(),
+}
+MALFORMED_CASES = [
+    *(pytest.param(loader, content, id=f"{loader}-{name}")
+      for loader in LOADERS for name, content in BAD_CONTENTS.items()),
+    *(pytest.param(loader, content, id=f"{loader}-{name}")
+      for (loader, name), content in NOT_INTEGERS.items()),
+]
 
 
-@pytest.mark.parametrize("content", BAD_CONTENTS.values(), ids=BAD_CONTENTS.keys())
-@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("loader, content", MALFORMED_CASES)
 def test_malformed_input_is_one_error_line(work, tmp_path, capsys, loader, content):
     path = tmp_path / "input"
     path.write_bytes(content)
@@ -579,3 +622,60 @@ def test_malformed_input_is_one_error_line(work, tmp_path, capsys, loader, conte
     assert len(errors) == 1 and "Traceback" not in captured.err, captured.err
     if content == BAD_CONTENTS["not utf-8"] and loader != "inline schedule":
         assert f"{path}: line 1: not valid UTF-8" in captured.err
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A synth corpus of four weeks of 40 messages, on which fraction runs."""
+    out = tmp_path_factory.mktemp("small")
+    config = out / "synth_config.json"
+    config.write_text('{"seed": 2, "weeks": 4, "messages_per_week": 40, '
+                      '"ili_curve": [0.04, 0.08, 0.16, 0.1]}', encoding="utf-8")
+    assert main(["synth", "--seed", "2", "--config", str(config), "--labeled-pos", "2",
+                 "--labeled-neg", "2", "--out", str(out)]) == 0
+    return out, date(2009, 9, 5)
+
+
+@st.composite
+def damaged(draw, content: bytes) -> bytes:
+    """content with its last line cut short, or with 1-4 bytes replaced."""
+    if draw(st.booleans()):
+        last_line = content.rstrip(b"\n").rfind(b"\n") + 1
+        return content[: draw(st.integers(last_line, len(content) - 1))]
+    out = bytearray(content)
+    for at, byte in draw(st.lists(st.tuples(st.integers(0, len(content) - 1),
+                                            st.integers(0, 255)), min_size=1, max_size=4)):
+        out[at] = byte
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_damaged_messages_file_is_accepted_or_one_error_line(small, data):
+    syn, first_week_end = small
+    content = data.draw(damaged((syn / "messages.jsonl").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "messages.jsonl"
+        path.write_bytes(content)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):  # an uncaught exception fails the test
+            code = main([
+                "fraction", "--messages", str(path), "--ili", str(syn / "ili.csv"),
+                "--query", QUERY, "--seed", "0", "--train-weeks", "1:4", "--eval-weeks", "1:4",
+                "--out", str(Path(tmp) / "out"),
+            ])
+        # load_corpus keeps what ingest keeps, or raises ingest's error.
+        try:
+            kept = sorted(m.id for m in ingest(
+                path, (first_week_end - timedelta(days=6), first_week_end + timedelta(days=21))
+            ))
+        except CorpusError as exc:
+            kept = str(exc)
+        try:
+            columnar = sorted(load_corpus(path, first_week_end, 4).ids)
+        except CorpusError as exc:
+            columnar = str(exc)
+    assert columnar == kept
+    assert code in (0, 1)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == code and "Traceback" not in stderr.getvalue(), stderr.getvalue()

@@ -18,6 +18,7 @@ from ilitrack.corpus import (
     load_corpus,
     load_ili_csv,
     message_from_record,
+    normalize,
     tokenize,
     tokenize_message,
     week_index_for,
@@ -348,23 +349,35 @@ def test_load_corpus_tokens_equal_tokenize(texts):
         corpus = load_corpus(p, FIRST_END, 1)
     assert corpus.ids == [f"m{i}" for i in range(len(texts))]
     assert corpus.texts == texts
-    ends = [*(corpus.starts[1:] - 1).tolist(), len(corpus.lowered)]
-    assert [corpus.lowered[a:b] for a, b in zip(corpus.starts.tolist(), ends)] == [
-        t.lower() for t in texts
+    # Each row's normalized text, as tokenize splits it, at its offset.
+    ends = [*(corpus.starts[1:] - 1).tolist(), len(corpus.normalized)]
+    assert [corpus.normalized[a:b] for a, b in zip(corpus.starts.tolist(), ends)] == [
+        normalize(t) for t in texts
     ]
     assert {tm.message.id: list(tm.tokens) for tm in corpus.tokenized(range(len(texts)))} == {
         f"m{i}": tokenize(t) for i, t in enumerate(texts)
     }
 
 
+TERM_GROUPS = st.frozensets(st.frozensets(TRICKY_TERMS, min_size=1, max_size=2), max_size=2)
+FLU, FLU_X = Term(("flu",)), Term(("flu", "x"))
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(TEXTS, max_size=10),
-    st.frozensets(TRICKY_TERMS, min_size=1, max_size=3),
-    st.frozensets(st.frozensets(TRICKY_TERMS, min_size=1, max_size=2), max_size=2),
-)
-def test_match_rows_equals_matches(texts, base, excluded):
-    query = Query(base_terms=base, excluded=excluded)
+@given(st.lists(TEXTS, max_size=10), st.frozensets(TRICKY_TERMS, min_size=1, max_size=3),
+       TERM_GROUPS, TERM_GROUPS)
+# A newline inside a text separates tokens like a space and does not end the row.
+@example(["flu\nx", "flu"], frozenset({FLU_X}), frozenset(), frozenset())
+# A phrase whose tokens end one row and begin the next is in neither row.
+@example(["a flu", "x b", "flu"], frozenset({FLU_X}), frozenset(), frozenset())
+@example(["x flu", "x"], frozenset({Term(("x",))}), frozenset({frozenset({FLU_X})}), frozenset())
+# A URL is the one token "http", whatever it spells after that.
+@example(["see http://flu.x", "fluhttp://x"], frozenset({FLU}), frozenset(), frozenset())
+def test_match_rows_equals_matches(texts, base, required, excluded):
+    # A term may not be both required and excluded.
+    excluded_terms = frozenset().union(*excluded)
+    required = frozenset(group - excluded_terms for group in required) - {frozenset()}
+    query = Query(base_terms=base, required=required, excluded=excluded)
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "msgs.jsonl"
         write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])

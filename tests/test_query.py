@@ -20,7 +20,6 @@ from ilitrack.query import (
     QueryFractionSeries,
     QueryParseError,
     Term,
-    _token_rows,
     corpus_fraction_series,
     count_matches,
     match_rows,
@@ -464,10 +463,11 @@ def test_columnar_matching_at_token_edges(tmp_path):
     assert match_rows(parse_query('"flu shot"'), corpus).tolist() == [
         False, False, False, True, False
     ]
-    # The regex step may keep rows the oracle then rejects (the "flu" inside
-    # a URL), but none where a token character touches the word.
-    assert _token_rows("flu", corpus).tolist() == [0, 2, 3]
-    assert _token_rows("http", corpus).tolist() == [0, 2]
+    # The lookup is exact: a URL is the one token "http", so the "flu" inside
+    # one is no token, while a word that runs into a URL still is.
+    assert corpus.rows_with(("flu",)).tolist() == [True, False, False, True, False]
+    assert corpus.rows_with(("http",)).tolist() == [True, False, True, False, False]
+    assert corpus.rows_with(("flu", "http")).tolist() == [True, False, False, False, False]
 
 
 def test_corpus_fraction_series_rejects_empty_weeks_like_the_oracle(tmp_path):

@@ -215,7 +215,11 @@ def test_model_json_round_trip(tmp_path):
 
 def test_model_from_json_rejects_missing_fields(tmp_path):
     for text in ('{"beta1": 1.0}', "", "not json", "[1.0, 0.4]", '"beta1"',
-                 '{"beta1": "one", "beta2": 0, "train_weeks": [1], "eps_clamp": 0}'):
+                 '{"beta1": "one", "beta2": 0, "train_weeks": [1], "eps_clamp": 0}',
+                 # week numbers are JSON integers: not infinity, 1.5 or true
+                 '{"beta1": 1, "beta2": 0, "train_weeks": [1e400], "eps_clamp": 0}',
+                 '{"beta1": 1, "beta2": 0, "train_weeks": [1.5], "eps_clamp": 0}',
+                 '{"beta1": 1, "beta2": 0, "train_weeks": [true], "eps_clamp": 0}'):
         with pytest.raises(RegressionError, match="bad regression model"):
             RegressionModel.from_json(text)
     p = tmp_path / "model.json"

@@ -62,6 +62,9 @@ def test_default_curve_shape():
         (dict(spurious_rate=1.0), "spurious_rate"),
         (dict(first_week_end=date(2009, 9, 4)), "Saturday"),
         (dict(true_beta1=0.0), "non-zero"),
+        (dict(noise_sd=math.nan), "noise_sd must be finite"),
+        (dict(true_beta1=math.inf), "true_beta1 must be finite"),
+        (dict(true_beta2=-math.inf), "true_beta2 must be finite"),
     ],
 )
 def test_config_validation(kwargs, complaint):
