@@ -24,6 +24,8 @@ from .corpus import (
     CorpusError,
     TokenizedMessage,
     WeekBucket,
+    json_bool,
+    json_float,
     json_int,
     message_from_record,
     read_records,
@@ -127,10 +129,10 @@ class ClassifierModel:
             doc = json.loads(text)
             fields = dict(
                 vocabulary={str(k): json_int(v) for k, v in doc["vocabulary"].items()},
-                theta=tuple(float(t) for t in doc["theta"]),
-                l2_lambda=float(doc["l2_lambda"]),
+                theta=tuple(json_float(t) for t in doc["theta"]),
+                l2_lambda=json_float(doc["l2_lambda"]),
                 trained_on=str(doc["trained_on"]),
-                converged=bool(doc["converged"]),
+                converged=json_bool(doc["converged"]),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ClassifierError(f"bad classifier document: {exc}") from None

@@ -24,7 +24,7 @@ import os
 import sys
 from datetime import timedelta
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -87,10 +87,16 @@ class CliError(ValueError):
     """Bad flag combinations or inputs the library layer cannot see."""
 
 
-def _write(path: Path, text: str) -> None:
-    """Atomic write: no partial files on interruption."""
+def _write(path: Path, text: str | Iterable[str]) -> None:
+    """Atomic write: no partial files on interruption, or when text comes
+    in pieces and producing one fails. The pieces are written as they come."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

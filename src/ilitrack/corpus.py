@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import math
 import re
 import time
 from contextlib import contextmanager
@@ -204,6 +205,26 @@ def json_int(value: object) -> int:
     return value
 
 
+def json_float(value: object) -> float:
+    """value as a float if it is a finite JSON number, else ValueError.
+    float() would read "nan", "inf" and "0.5" from strings and true as 1.0."""
+    if type(value) in (int, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def json_bool(value: object) -> bool:
+    """value if it is JSON true or false, else TypeError. bool() reads any
+    string but "", "no" too, as true."""
+    if type(value) is not bool:
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
     """Load messages from a JSONL file, keeping those inside date_range.
 
@@ -338,6 +359,10 @@ class Corpus:
     index. normalized is every normalize(texts[r]) joined by "\n", row r
     starting at normalized[starts[r]]; no row holds a "\n" of its own, so
     rows_with finds a phrase's rows in it with one regular expression.
+
+    These columns are all that load_corpus keeps of the file, which it
+    reads in chunks. texts and authors are read only by tokenized, which
+    builds Messages for scoring and for simulate's spurious pool.
     """
 
     first_week_end: date
@@ -401,30 +426,28 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
 
     Equivalent to bucket_weekly(ingest(path, date_range), first_week_end,
     weeks) with date_range spanning exactly those weeks: it keeps the same
-    messages, and it rejects the same files with the same CorpusError. Lines
-    in the layout messages_jsonl writes are read by one regular expression
-    over the whole file and checked column by column; other lines are
-    decoded one by one. When any check fails, ingest reads the file again
-    to raise its error, which names the first bad line. No text is tokenized
-    here: each is normalized once, and a query finds its rows in that text
+    messages, and it rejects the same files with the same CorpusError.
+
+    The file is read _CHUNK_CHARS characters at a time, each chunk ending
+    at the end of a line, so only the columns of the rows kept grow with
+    the file. In each chunk, lines in the layout messages_jsonl writes are
+    read by one regular expression and checked column by column, other
+    lines are decoded one by one, rows outside the weeks are dropped and
+    each text is normalized once. Ids must be unique across every row
+    read, dropped rows too. When any check fails, ingest reads the file
+    again to raise its error, which names the first bad line. No text is
+    tokenized here: a query finds its rows in the normalized text
     (Corpus.rows_with).
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
     start = first_week_end - timedelta(days=6)
     end = first_week_end + timedelta(days=7 * (weeks - 1))
-    columns = _read_columns(path)
-    if columns is None:
+    kept = _read_rows(path, start, end)
+    if kept is None:
         ingest(path, (start, end))  # raises, naming the first bad line
         raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-    ids, seconds, authors, texts = columns
-    ordinal = seconds // 86400 + _EPOCH_ORDINAL
-    inside = (ordinal >= start.toordinal()) & (ordinal <= end.toordinal())
-    if not inside.all():
-        keep = np.flatnonzero(inside)
-        ids, authors, texts = ([column[r] for r in keep.tolist()] for column in (ids, authors, texts))
-        seconds, ordinal = seconds[keep], ordinal[keep]
-    normalized, starts = _normalized_rows(texts)
+    rows_read, ids, seconds, authors, texts, normalized, starts = kept
     corpus = Corpus(
         first_week_end=first_week_end,
         weeks=weeks,
@@ -432,26 +455,85 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
         seconds=seconds,
         authors=authors,
         texts=texts,
-        week=(ordinal - first_week_end.toordinal() + 6) // 7 + 1,
+        week=(seconds // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal() + 6) // 7 + 1,
         normalized=normalized,
         starts=starts,
     )
     log.info(
         "load_corpus %s: %d rows read, %d kept in weeks 1..%d, %.3f s",
-        path, len(columns[0]), len(corpus), weeks, time.perf_counter() - began,
+        path, rows_read, len(corpus), weeks, time.perf_counter() - began,
     )
     _warn_empty(corpus.totals())
     return corpus
 
 
+# load_corpus reads this many characters at a time, plus the rest of the
+# line the cut falls in.
+_CHUNK_CHARS = 1 << 20
+
+
+def _chunks(path: str | Path) -> Iterator[str]:
+    """The text of a UTF-8 file in chunks of whole lines, split and with
+    line endings as open() reads them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        while chunk := fh.read(_CHUNK_CHARS):
+            if not chunk.endswith("\n"):
+                chunk += fh.readline()
+            yield chunk
+
+
 @_collector_paused()
-def _normalized_rows(texts: Sequence[str]) -> tuple[str, np.ndarray]:
-    """Each text normalized on its own (str.lower maps Σ by its neighbours),
-    joined by "\n"; and where each row starts in that."""
-    normalized = list(map(normalize, texts))
-    lengths = np.fromiter(map(len, normalized), dtype=np.int64, count=len(normalized))
-    starts = np.cumsum(lengths + 1) - (lengths + 1)
-    return "\n".join(normalized), starts
+def _read_rows(
+    path: str | Path, start: date, end: date
+) -> tuple[int, list[str], np.ndarray, list[str], list[str], str, np.ndarray] | None:
+    """The number of rows read, and the (ids, POSIX seconds, authors, texts,
+    normalized text, row starts) of those dated start..end as Corpus holds
+    them; or None when some record is one that ingest rejects."""
+    seen: set[str] = set()  # the id of every row read
+    ids: list[str] = []
+    authors: list[str] = []
+    texts: list[str] = []
+    seconds: list[np.ndarray] = []
+    normalized: list[str] = []
+    lengths: list[np.ndarray] = []
+    try:
+        for chunk in _chunks(path):
+            columns = _read_columns(chunk, seen)
+            if columns is None:
+                return None
+            chunk_ids, chunk_seconds, chunk_authors, chunk_texts = columns
+            ordinal = chunk_seconds // 86400 + _EPOCH_ORDINAL
+            inside = (ordinal >= start.toordinal()) & (ordinal <= end.toordinal())
+            if not inside.all():
+                keep = np.flatnonzero(inside).tolist()
+                chunk_ids, chunk_authors, chunk_texts = (
+                    [column[r] for r in keep] for column in (chunk_ids, chunk_authors, chunk_texts)
+                )
+                chunk_seconds = chunk_seconds[inside]
+            if not chunk_ids:
+                continue
+            # Each text normalized on its own: str.lower maps Σ by its neighbours.
+            rows = list(map(normalize, chunk_texts))
+            lengths.append(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
+            normalized.append("\n".join(rows))
+            ids += chunk_ids
+            authors += chunk_authors
+            texts += chunk_texts
+            seconds.append(chunk_seconds)
+    except UnicodeDecodeError:
+        return None  # ingest re-reads the file and names the line
+    rows_read = len(seen)
+    del seen  # before the text is joined, which is the peak
+    steps = np.concatenate([np.zeros(0, dtype=np.int64), *lengths]) + 1
+    return (
+        rows_read,
+        ids,
+        np.concatenate([np.zeros(0, dtype=np.int64), *seconds]),
+        authors,
+        texts,
+        "\n".join(normalized),
+        np.cumsum(steps) - steps,
+    )
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -468,17 +550,13 @@ _LINE_RE = re.compile(
 )
 
 
-@_collector_paused()
 def _read_columns(
-    path: str | Path,
+    chunk: str, seen: set[str]
 ) -> tuple[list[str], np.ndarray, list[str], list[str]] | None:
-    """(ids, POSIX seconds, authors, texts) of every record in the file, or
-    None when some record is one that ingest rejects."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = _LINE_RE.findall(fh.read())
-    except UnicodeDecodeError:
-        return None  # ingest re-reads the file and names the line
+    """(ids, POSIX seconds, authors, texts) of every record in a chunk of
+    whole lines, or None when some record is one that ingest rejects. An id
+    already in seen is a duplicate; seen gets the chunk's ids."""
+    rows = _LINE_RE.findall(chunk)
     if not rows:
         return [], np.zeros(0, dtype=np.int64), [], []
     ids, stamps, authors, texts, others = (list(column) for column in zip(*rows))
@@ -493,9 +571,11 @@ def _read_columns(
             return None  # ingest re-reads the file and names the line
         ids[r], authors[r], texts[r] = message.id, message.author, message.text
         stamps[r] = record["timestamp"][:19]
+    known = len(seen)
+    seen.update(ids)
     if (
         not all(ids)
-        or len(set(ids)) != len(ids)
+        or len(seen) != known + len(ids)
         or max(map(len, texts), default=0) > MAX_TEXT_CHARS
     ):
         return None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import json_int, read_text
+from .corpus import json_float, json_int, read_text
 
 
 class RegressionError(ValueError):
@@ -103,10 +103,10 @@ class RegressionModel:
         try:
             doc = json.loads(text)
             return cls(
-                beta1=float(doc["beta1"]),
-                beta2=float(doc["beta2"]),
+                beta1=json_float(doc["beta1"]),
+                beta2=json_float(doc["beta2"]),
                 train_weeks=tuple(json_int(w) for w in doc["train_weeks"]),
-                eps_clamp=float(doc["eps_clamp"]),
+                eps_clamp=json_float(doc["eps_clamp"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise RegressionError(f"bad regression model document: {exc}") from None

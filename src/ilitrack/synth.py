@@ -23,12 +23,12 @@ from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .classify import LabeledMessage
-from .corpus import Message, json_int, tokenize, tokenize_message
+from .corpus import Message, json_float, json_int, tokenize, tokenize_message
 from .query import GATE_QUERY, matches
 from .regress import logit, sigmoid
 
@@ -197,9 +197,9 @@ class SynthConfig:
                 kwargs["first_week_end"] = date.fromisoformat(doc["first_week_end"])
             for name in ("true_beta1", "true_beta2", "noise_sd", "spurious_rate"):
                 if name in doc:
-                    kwargs[name] = float(doc[name])
+                    kwargs[name] = json_float(doc[name])
             if "ili_curve" in doc:
-                kwargs["ili_curve"] = tuple(float(v) for v in doc["ili_curve"])
+                kwargs["ili_curve"] = tuple(json_float(v) for v in doc["ili_curve"])
             for name in ("positive_templates", "negative_templates", "spurious_templates"):
                 if name in doc:
                     kwargs[name] = tuple(str(t) for t in doc[name])
@@ -301,8 +301,10 @@ class SynthCorpus:
             )
         ]
 
-    def jsonl(self) -> str:
-        """messages_jsonl(self.messages()), byte for byte.
+    def jsonl(self) -> Iterator[str]:
+        """messages_jsonl(self.messages()), byte for byte when joined, one
+        week's lines at a time (a run of rows with the same week), so the
+        whole file is never one string.
 
         Each line is six pieces looked up in small tables: the week part of
         the id, the ordinal, the date, the time of day, the author and the
@@ -321,20 +323,15 @@ class SynthCorpus:
         ordinal_part = [f"{o:06d}" for o in range(int(self.ordinal.max()) + 1)]
         dumps = json.dumps
         author_part = [f'", "author": {dumps(a)}, "text": ' for a in self.authors]
-        text_part = [f"{dumps(t)}}}" for t in self.texts]
-        lines = [
-            f"{week_part[w]}{ordinal_part[o]}{day_part[d]}{second_part[s]}"
-            f"{author_part[a]}{text_part[t]}"
-            for w, o, d, s, a, t in zip(
-                self.week.tolist(),
-                self.ordinal.tolist(),
-                day.tolist(),
-                second.tolist(),
-                self.author.tolist(),
-                self.text.tolist(),
-            )
-        ]
-        return "\n".join(lines) + "\n"
+        text_part = [f"{dumps(t)}}}\n" for t in self.texts]
+        columns = (self.week, self.ordinal, day, second, self.author, self.text)
+        cuts = [0, *(np.flatnonzero(np.diff(self.week)) + 1).tolist(), len(self)]
+        for a, b in zip(cuts, cuts[1:]):
+            yield "".join([
+                f"{week_part[w]}{ordinal_part[o]}{day_part[d]}{second_part[s]}"
+                f"{author_part[au]}{text_part[t]}"
+                for w, o, d, s, au, t in zip(*(column[a:b].tolist() for column in columns))
+            ])
 
 
 def _slot_count(template: str) -> int:

@@ -264,9 +264,13 @@ def test_model_validation():
     with pytest.raises(ClassifierError, match="1..V"):
         ClassifierModel(vocabulary={"a": 2}, theta=(0.0, 0.0), l2_lambda=1.0,
                         trained_on="x", converged=True)
+    doc = '{"vocabulary": {"a": 1}, "theta": %s, "l2_lambda": 1, "trained_on": "x", ' \
+        '"converged": %s}'
     for text in ('{"vocabulary": {}}', "", "not json", '"theta"', '{"vocabulary": []}',
                  '{"vocabulary": {"a": "one"}, "theta": [0, 0], "l2_lambda": 1, '
-                 '"trained_on": "x", "converged": true}'):
+                 '"trained_on": "x", "converged": true}',
+                 # float() would read these as (nan, 1.0), bool() as True
+                 doc % ('["nan", true]', "true"), doc % ("[0, 0]", '"no"')):
         with pytest.raises(ClassifierError, match="bad classifier"):
             ClassifierModel.from_json(text)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ilitrack
-from ilitrack.cli import main
+from ilitrack.cli import _write, main
 from ilitrack.corpus import CorpusError, ingest, load_corpus
 from ilitrack.query import parse_query
 
@@ -559,6 +559,20 @@ def test_rerun_rejects_bad_argv_with_one_error_line(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_write_in_pieces_leaves_the_old_file_when_a_piece_fails(tmp_path):
+    path = tmp_path / "messages.jsonl"
+    path.write_bytes(b"old contents\n")
+
+    def pieces():
+        yield "week 1\n"
+        raise RuntimeError("week 2 failed")
+
+    with pytest.raises(RuntimeError, match="week 2 failed"):
+        _write(path, pieces())
+    assert path.read_bytes() == b"old contents\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # --- malformed inputs -------------------------------------------------------------
 
 # Every file the CLI reads gets each of these; each must end in exit 1 and a
@@ -604,11 +618,21 @@ NOT_INTEGERS = {
     ("classifier", "infinite index"): (CLASSIFIER_DOC % "1e400").encode(),
     ("classifier", "boolean index"): (CLASSIFIER_DOC % "true").encode(),
 }
+# Float fields hold finite JSON numbers and bool fields true or false:
+# float() would read "nan" and "0.5" and true, and bool() would read "no" as true.
+NOT_NUMBERS_OR_BOOLS = {
+    ("classifier", "nan theta"): b'{"vocabulary": {"flu": 1}, "theta": ["nan", true], '
+                                 b'"l2_lambda": 1.0, "trained_on": "x", "converged": true}',
+    ("classifier", "string converged"): b'{"vocabulary": {"flu": 1}, "theta": [0.0, 1.0], '
+                                        b'"l2_lambda": 1.0, "trained_on": "x", "converged": "no"}',
+    ("synth config", "string noise_sd"): b'{"seed": 1, "noise_sd": "0.5"}',
+    ("synth config", "boolean true_beta1"): b'{"seed": 1, "true_beta1": true}',
+}
 MALFORMED_CASES = [
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for loader in LOADERS for name, content in BAD_CONTENTS.items()),
     *(pytest.param(loader, content, id=f"{loader}-{name}")
-      for (loader, name), content in NOT_INTEGERS.items()),
+      for (loader, name), content in (NOT_INTEGERS | NOT_NUMBERS_OR_BOOLS).items()),
 ]
 
 

@@ -4,11 +4,13 @@ import json
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ilitrack import corpus as corpus_module
 from ilitrack.corpus import (
     CorpusError,
     Message,
@@ -297,6 +299,17 @@ def test_tokenize_message_preserves_message():
 # --- columnar corpus --------------------------------------------------------------
 
 
+# load_corpus's chunk size, and sizes so small that every row sits on a
+# chunk boundary.
+CHUNK_SIZES = (corpus_module._CHUNK_CHARS, 1, 37)
+
+
+def load_in_chunks(size, path, first_week_end, weeks):
+    """load_corpus reading chunks of size characters."""
+    with mock.patch.object(corpus_module, "_CHUNK_CHARS", size):
+        return load_corpus(path, first_week_end, weeks)
+
+
 def weeks_range(weeks):
     return FIRST_END - timedelta(days=6), FIRST_END + timedelta(days=7 * (weeks - 1))
 
@@ -400,9 +413,9 @@ def test_load_corpus_buckets_equal_bucket_weekly(rows):
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "msgs.jsonl"
         write_jsonl(p, records)
-        corpus = load_corpus(p, FIRST_END, 3)
         reference = reference_buckets(p, 3)
-    assert_holds_buckets(corpus, reference)
+        for size in CHUNK_SIZES:
+            assert_holds_buckets(load_in_chunks(size, p, FIRST_END, 3), reference)
 
 
 def test_load_corpus_accepts_lines_in_other_layouts(tmp_path):
@@ -417,11 +430,18 @@ def test_load_corpus_accepts_lines_in_other_layouts(tmp_path):
         json.dumps(rec("f", "2008-01-01T00:00:00Z", text="outside the weeks")),
         json.dumps(rec("g", "2000-02-29T23:59:59Z", text="a leap day, outside the weeks")),
         "",
+        json.dumps(rec("h", "2009-09-10T00:00:00Z", text="the last line")),
     ]
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    corpus = load_corpus(p, FIRST_END, 2)
-    assert corpus.ids == ["a", "b", "c", "d", "e"]
-    assert_holds_buckets(corpus, reference_buckets(p, 2))
+    # open() ends a line at "\n", "\r\n" or a lone "\r"; the last line may
+    # have no line end.
+    for ending in ("\n", "\r\n", "\r"):
+        for last in (ending, ""):
+            p.write_bytes((ending.join(lines) + last).encode("utf-8"))
+            reference = reference_buckets(p, 2)
+            for size in CHUNK_SIZES:
+                corpus = load_in_chunks(size, p, FIRST_END, 2)
+                assert corpus.ids == ["a", "b", "c", "d", "e", "h"], (ending, last, size)
+                assert_holds_buckets(corpus, reference)
 
 
 @settings(max_examples=300, deadline=None)
@@ -447,6 +467,11 @@ def test_posix_seconds_agrees_with_datetime(fields):
 
 
 GOOD = json.dumps(rec("ok", "2009-09-01T00:00:00Z"))
+# Lines that fill more than one chunk at the default chunk size.
+FIRST_CHUNK = [
+    json.dumps(rec(f"filler{i}", "2009-09-02T00:00:00Z", text="x" * 900))
+    for i in range(corpus_module._CHUNK_CHARS // 900 + 1)
+]
 
 # One corpus per way a file can be bad; each bad line follows a good one so
 # that the line number in the error matters.
@@ -476,6 +501,12 @@ BAD_CORPORA = {
         json.dumps(rec("old", "2008-01-02T00:00:00Z")),
     ],
     "two bad lines": [GOOD, json.dumps(rec("ok", "2009-09-02T00:00:00Z")), "{broken"],
+    "duplicate id in another chunk": [
+        GOOD, *FIRST_CHUNK, json.dumps(rec("ok", "2009-09-02T00:00:00Z"))
+    ],
+    "duplicate id, one copy outside the weeks": [
+        GOOD, *FIRST_CHUNK, json.dumps(rec("ok", "2008-01-01T00:00:00Z"))
+    ],
 }
 
 
@@ -485,9 +516,10 @@ def test_load_corpus_rejects_what_ingest_rejects(tmp_path, lines):
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError) as reference:
         ingest(p, weeks_range(2))
-    with pytest.raises(CorpusError) as columnar:
-        load_corpus(p, FIRST_END, 2)
-    assert str(columnar.value) == str(reference.value)
+    for size in CHUNK_SIZES:
+        with pytest.raises(CorpusError) as columnar:
+            load_in_chunks(size, p, FIRST_END, 2)
+        assert str(columnar.value) == str(reference.value)
 
 
 @pytest.mark.parametrize(
@@ -497,6 +529,8 @@ def test_load_corpus_rejects_what_ingest_rejects(tmp_path, lines):
         (GOOD.encode() + b'\n{"id": "\xe9"}\n', 2),
         # "\r\n" and a lone "\r" each end a line, as open() reads the file.
         (GOOD.encode() + b"\r\n\r\xc3(\n", 3),
+        pytest.param("\n".join(FIRST_CHUNK).encode() + b'\n{"id": "\xe9"}\n',
+                     len(FIRST_CHUNK) + 1, id="after the first chunk"),
     ],
 )
 def test_load_corpus_and_ingest_name_the_line_that_is_not_utf8(tmp_path, raw, line):
@@ -505,8 +539,9 @@ def test_load_corpus_and_ingest_name_the_line_that_is_not_utf8(tmp_path, raw, li
     complaint = rf"msgs.jsonl: line {line}: not valid UTF-8"
     with pytest.raises(CorpusError, match=complaint):
         ingest(p, weeks_range(2))
-    with pytest.raises(CorpusError, match=complaint):
-        load_corpus(p, FIRST_END, 2)
+    for size in CHUNK_SIZES:
+        with pytest.raises(CorpusError, match=complaint):
+            load_in_chunks(size, p, FIRST_END, 2)
 
 
 def test_load_ili_csv_names_the_line_that_is_not_utf8(tmp_path):

@@ -219,7 +219,12 @@ def test_model_from_json_rejects_missing_fields(tmp_path):
                  # week numbers are JSON integers: not infinity, 1.5 or true
                  '{"beta1": 1, "beta2": 0, "train_weeks": [1e400], "eps_clamp": 0}',
                  '{"beta1": 1, "beta2": 0, "train_weeks": [1.5], "eps_clamp": 0}',
-                 '{"beta1": 1, "beta2": 0, "train_weeks": [true], "eps_clamp": 0}'):
+                 '{"beta1": 1, "beta2": 0, "train_weeks": [true], "eps_clamp": 0}',
+                 # other fields are finite JSON numbers, which float() would not check
+                 '{"beta1": "nan", "beta2": 0, "train_weeks": [1], "eps_clamp": 0}',
+                 '{"beta1": 1, "beta2": 0, "train_weeks": [1], "eps_clamp": "inf"}',
+                 # an integer past the float range
+                 '{"beta1": 1%s, "beta2": 0, "train_weeks": [1], "eps_clamp": 0}' % ("0" * 400)):
         with pytest.raises(RegressionError, match="bad regression model"):
             RegressionModel.from_json(text)
     p = tmp_path / "model.json"

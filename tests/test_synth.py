@@ -65,12 +65,17 @@ def test_default_curve_shape():
         (dict(noise_sd=math.nan), "noise_sd must be finite"),
         (dict(true_beta1=math.inf), "true_beta1 must be finite"),
         (dict(true_beta2=-math.inf), "true_beta2 must be finite"),
+        # A config document holds finite JSON numbers in float fields.
+        ('{"seed": 0, "noise_sd": "0.5"}', "bad config document"),
+        ('{"seed": 0, "true_beta1": true}', "bad config document"),
     ],
 )
 def test_config_validation(kwargs, complaint):
-    cfg = SynthConfig(seed=0, **kwargs)
     with pytest.raises(SynthError, match=complaint):
-        generate(cfg)
+        if isinstance(kwargs, str):
+            SynthConfig.from_json(kwargs)
+        else:
+            generate(SynthConfig(seed=0, **kwargs))
 
 
 def test_template_validation_catches_gate_violations():
@@ -348,7 +353,7 @@ def sha256(text):
 def test_corpus_jsonl_is_the_reference_serialization(cfg):
     corpus, truth = generate_corpus(cfg)
     messages, reference_truth = generate(cfg)
-    assert corpus.jsonl() == messages_jsonl(messages)
+    assert "".join(corpus.jsonl()) == messages_jsonl(messages)
     assert truth == reference_truth
     assert len(corpus) == len(messages) == sum(truth.totals)
 
@@ -357,7 +362,7 @@ def test_news_config_has_news_desks_and_escaped_text():
     corpus, _ = generate_corpus(NEWSY)
     authors = {corpus.authors[a] for a in corpus.author.tolist()}
     assert authors & set(NEWS_AUTHORS)
-    assert '\\"flu\\" d\\u00e9sastre' in corpus.jsonl()
+    assert '\\"flu\\" d\\u00e9sastre' in "".join(corpus.jsonl())
 
 
 # SHA-256 of messages.jsonl and truth.json as generate + messages_jsonl +
@@ -378,7 +383,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name,cfg", [("small", SMALL), ("newsy", NEWSY)])
 def test_generated_files_are_unchanged(name, cfg):
     corpus, truth = generate_corpus(cfg)
-    assert (sha256(corpus.jsonl()), sha256(truth.to_json())) == GOLDEN[name]
+    assert (sha256("".join(corpus.jsonl())), sha256(truth.to_json())) == GOLDEN[name]
 
 
 def test_truth_provenance_agrees_with_its_by_week_form():
