@@ -27,13 +27,14 @@ from .corpus import (
     json_bool,
     json_float,
     json_int,
+    json_str,
     message_from_record,
     read_records,
     read_text,
     tokenize_message,
 )
 from .optimize import minimize_lbfgs
-from .query import Query, match_rows, matches
+from .query import Query, matches
 from .regress import sigmoid
 
 log = logging.getLogger(__name__)
@@ -131,7 +132,7 @@ class ClassifierModel:
                 vocabulary={str(k): json_int(v) for k, v in doc["vocabulary"].items()},
                 theta=tuple(json_float(t) for t in doc["theta"]),
                 l2_lambda=json_float(doc["l2_lambda"]),
-                trained_on=str(doc["trained_on"]),
+                trained_on=json_str(doc["trained_on"]),
                 converged=json_bool(doc["converged"]),
             )
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -158,12 +159,17 @@ def build_vocabulary(
 def featurize(tm: TokenizedMessage, vocabulary: Mapping[str, int]) -> dict[int, int]:
     """Sparse count features: {index: count}, always including bias {0: 1}.
     Out-of-vocabulary tokens are dropped."""
-    feats: dict[int, int] = {0: 1}
-    for tok in tm.tokens:
+    return {0: 1} | _token_counts(tm.tokens, vocabulary)
+
+
+def _token_counts(tokens: Iterable[str], vocabulary: Mapping[str, int]) -> dict[int, int]:
+    """{index: count} of the in-vocabulary tokens, in first-seen order."""
+    counts: dict[int, int] = {}
+    for tok in tokens:
         idx = vocabulary.get(tok)
         if idx is not None:
-            feats[idx] = feats.get(idx, 0) + 1
-    return feats
+            counts[idx] = counts.get(idx, 0) + 1
+    return counts
 
 
 def _design_matrix(
@@ -257,11 +263,15 @@ def train(
 
 def predict_proba(model: ClassifierModel, tm: TokenizedMessage) -> float:
     """Probability in [0, 1] that the message is a genuine report."""
+    return score_tokens(model, tm.tokens)
+
+
+def score_tokens(model: ClassifierModel, tokens: Iterable[str]) -> float:
+    """predict_proba of a message with these tokens."""
     theta = model.theta
     z = theta[0]
-    for idx, count in featurize(tm, model.vocabulary).items():
-        if idx:
-            z += theta[idx] * count
+    for idx, count in _token_counts(tokens, model.vocabulary).items():
+        z += theta[idx] * count
     return sigmoid(z)
 
 
@@ -432,13 +442,12 @@ class WeekScores:
         return len(self.probs) / n, math.fsum(self.probs) / n, self.kept / n
 
 
-def week_scores(query: Query, corpus: Corpus, model: ClassifierModel) -> list[WeekScores]:
-    """WeekScores of weeks 1..corpus.weeks. Only rows that match the query
-    become TokenizedMessages, and each is scored once."""
-    rows = np.flatnonzero(match_rows(query, corpus))
-    probs = [predict_proba(model, tm) for tm in corpus.tokenized(rows)]
-    # tokenized() orders by timestamp: week w's matches are probs[ends[w - 1] : ends[w]].
-    ends = np.cumsum(np.bincount(corpus.week[rows], minlength=corpus.weeks + 1)).tolist()
+def week_scores(matched: np.ndarray, corpus: Corpus, model: ClassifierModel) -> list[WeekScores]:
+    """WeekScores of weeks 1..corpus.weeks for a query whose match_rows are
+    matched. Each matching row is scored once, from its tokens."""
+    probs = [score_tokens(model, tokens) for tokens in corpus.tokens(np.flatnonzero(matched))]
+    # Weeks ascend in time order: week w's matches are probs[ends[w - 1] : ends[w]].
+    ends = np.cumsum(np.bincount(corpus.week[matched], minlength=corpus.weeks + 1)).tolist()
     return [
         WeekScores(w, total, tuple(probs[ends[w - 1] : ends[w]]))
         for w, total in enumerate(corpus.totals(), start=1)

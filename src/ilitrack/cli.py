@@ -26,16 +26,15 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
 
-import numpy as np
-
 from . import classify as clf
 from . import synth as syn
-from .corpus import CorpusError, load_corpus, load_ili_csv, read_text
+from .corpus import CorpusError, json_list, json_str, load_corpus, load_ili_csv, read_text
 
-# The per-message reference path that load_corpus and corpus_fraction_series
-# reproduce. perfbench/spans.py wraps these names on this module.
+# The per-message reference path that the columnar CLI path reproduces.
+# perfbench/spans.py wraps these names on this module.
 from .corpus import bucket_weekly, ingest  # noqa: F401
 from .query import query_fraction_series  # noqa: F401
+from .simulate import build_spurious_pool  # noqa: F401
 from .query import (
     GATE_QUERY,
     GATE_QUERY_TEXT,
@@ -62,7 +61,7 @@ from .simulate import (
     METHODS,
     InjectionSchedule,
     SimulationError,
-    build_spurious_pool,
+    corpus_spurious_pool,
     method_series,
     mse_vs_baseline,
     report_csv,
@@ -231,7 +230,7 @@ def _series_by_mode(args, query, corpus, classifier):
         series = corpus_fraction_series(query, corpus)
         matched, totals, values = series.match_counts, series.totals, series.values
     else:
-        scores = clf.week_scores(query, corpus, classifier)
+        scores = clf.week_scores(match_rows(query, corpus), corpus, classifier)
         totals = [s.total for s in scores]
         if args.mode == "soft":
             values = [s.fractions()[1] for s in scores]
@@ -395,7 +394,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         labeled = clf.load_labeled_jsonl(args.train)
         classifier = clf.train(labeled, l2_lambda=args.l2_lambda, seed=args.seed)
 
-    scores = clf.week_scores(query, corpus, classifier)
+    matched = match_rows(query, corpus)
+    scores = clf.week_scores(matched, corpus, classifier)
     series = method_series(scores)
     models = {name: fit(series[name], ili, train_weeks) for name in METHODS}
 
@@ -403,8 +403,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         schedule = _load_schedule(args.schedule)
     else:
         schedule = InjectionSchedule.default_for([s.week_index for s in scores])
-    gate_rows = np.flatnonzero(match_rows(GATE_QUERY, corpus))
-    pool = build_spurious_pool(corpus.tokenized(gate_rows))
+    gate = matched if query == GATE_QUERY else match_rows(GATE_QUERY, corpus)
+    pool = corpus_spurious_pool(corpus, gate)
     report = run_simulation(
         scores, pool, schedule, models, classifier, seed=args.seed, query=query
     )
@@ -419,9 +419,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_schedule(arg: str) -> InjectionSchedule:
-    path = Path(arg)
-    if path.is_file():
-        return InjectionSchedule.from_json(read_text(path, SimulationError))
+    try:
+        is_file = Path(arg).is_file()
+    except OSError:  # no name the file system can look up, e.g. long inline JSON
+        is_file = False
+    if is_file:
+        return InjectionSchedule.from_json(read_text(arg, SimulationError))
     try:
         return InjectionSchedule.from_json(arg)
     except SimulationError:
@@ -456,8 +459,8 @@ def _simulate_argv(args: argparse.Namespace) -> list[str]:
 def cmd_rerun(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(read_text(args.run, CliError))
-        command = doc["command"]
-        argv = [str(a) for a in doc["argv"]]
+        command = json_str(doc["command"])
+        argv = [json_str(a) for a in json_list(doc["argv"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad run.json: {exc}") from None
     if command not in ("synth", "fraction", "classify", "simulate"):

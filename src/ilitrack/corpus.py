@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,6 +217,22 @@ def json_float(value: object) -> float:
     raise ValueError(f"expected a finite number, got {value!r}")
 
 
+def json_str(value: object) -> str:
+    """value if it is a JSON string, else TypeError. str() would read 5 as
+    "5" and null as "None"."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def json_list(value: object) -> list:
+    """value if it is a JSON array, else TypeError. tuple() would read a
+    string as its characters and an object as its keys."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def json_bool(value: object) -> bool:
     """value if it is JSON true or false, else TypeError. bool() reads any
     string but "", "no" too, as true."""
@@ -355,22 +371,23 @@ class Corpus:
     bucket_weekly(ingest(...)) holds, without one object per message.
 
     Rows are in file order. Row r is message ids[r], posted at POSIX second
-    seconds[r], with authors[r] and texts[r]; week[r] is its 1-based week
-    index. normalized is every normalize(texts[r]) joined by "\n", row r
-    starting at normalized[starts[r]]; no row holds a "\n" of its own, so
-    rows_with finds a phrase's rows in it with one regular expression.
+    seconds[r]; week[r] is its 1-based week index. normalized is every
+    normalize(text) joined by "\n", row r's at starts[r]:starts[r + 1] - 1;
+    no row holds a "\n" of its own, so rows_with finds a phrase's rows in
+    it with one regular expression. authors is every author joined, row
+    r's (author(r)) at author_starts[r]:author_starts[r + 1].
 
     These columns are all that load_corpus keeps of the file, which it
-    reads in chunks. texts and authors are read only by tokenized, which
-    builds Messages for scoring and for simulate's spurious pool.
+    reads in chunks. It keeps no text: matching, scoring (tokens) and
+    simulate's spurious pool (tokens, author) read normalized.
     """
 
     first_week_end: date
     weeks: int
     ids: list[str]
     seconds: np.ndarray
-    authors: list[str]
-    texts: list[str]
+    authors: str
+    author_starts: np.ndarray
     week: np.ndarray
     normalized: str
     starts: np.ndarray
@@ -385,9 +402,12 @@ class Corpus:
         """Number of messages in each week, weeks 1..weeks."""
         return np.bincount(self.week, minlength=self.weeks + 1)[1:].tolist()
 
+    def author(self, r: int) -> str:
+        return self.authors[self.author_starts[r] : self.author_starts[r + 1]]
+
     def rows_with(self, tokens: Sequence[str]) -> np.ndarray:
         """One bool per row: whether tokens appear contiguously and in order
-        in tokenize(texts[r]).
+        in the row's tokens.
 
         A row's tokens are its maximal runs of token characters in
         normalized, so the phrase is its tokens, a token character on
@@ -404,21 +424,12 @@ class Corpus:
         rows[np.searchsorted(self.starts, at, side="right") - 1] = True
         return rows
 
-    @_collector_paused()
-    def tokenized(self, rows: Iterable[int]) -> list[TokenizedMessage]:
-        """The TokenizedMessages bucket_weekly holds for the given rows, in
-        (timestamp, id) order. Weeks follow timestamps, so the messages of
-        one week are contiguous and the weeks ascend."""
-        seconds = self.seconds.tolist()
-        out = []
-        for r in sorted(map(int, rows), key=lambda r: (seconds[r], self.ids[r])):
-            out.append(tokenize_message(Message(
-                id=self.ids[r],
-                timestamp=datetime.fromtimestamp(seconds[r], timezone.utc),
-                author=self.authors[r],
-                text=self.texts[r],
-            )))
-        return out
+    def tokens(self, rows: Iterable[int]) -> list[list[str]]:
+        """tokenize(text) of each row's text, in (timestamp, id) order as
+        bucket_weekly orders messages: a row's tokens are the maximal runs
+        of token characters in its part of normalized."""
+        ordered = sorted(map(int, rows), key=lambda r: (int(self.seconds[r]), self.ids[r]))
+        return [_TOKEN_RE.findall(self.normalized, *self.starts[r : r + 2]) for r in ordered]
 
 
 def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
@@ -433,11 +444,13 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
     the file. In each chunk, lines in the layout messages_jsonl writes are
     read by one regular expression and checked column by column, other
     lines are decoded one by one, rows outside the weeks are dropped and
-    each text is normalized once. Ids must be unique across every row
-    read, dropped rows too. When any check fails, ingest reads the file
-    again to raise its error, which names the first bad line. No text is
-    tokenized here: a query finds its rows in the normalized text
-    (Corpus.rows_with).
+    each text is normalized once; the text itself is not kept, and each
+    author is appended to one joined string. Ids must be unique across
+    every row read, dropped rows too. When any check fails, ingest reads
+    the file again to raise its error, which names the first bad line. No
+    text is tokenized here: a query finds its rows in the normalized text
+    (Corpus.rows_with), and scoring tokenizes only the rows it scores
+    (Corpus.tokens).
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
@@ -447,18 +460,9 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
     if kept is None:
         ingest(path, (start, end))  # raises, naming the first bad line
         raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-    rows_read, ids, seconds, authors, texts, normalized, starts = kept
-    corpus = Corpus(
-        first_week_end=first_week_end,
-        weeks=weeks,
-        ids=ids,
-        seconds=seconds,
-        authors=authors,
-        texts=texts,
-        week=(seconds // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal() + 6) // 7 + 1,
-        normalized=normalized,
-        starts=starts,
-    )
+    rows_read, columns = kept
+    days = columns["seconds"] // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal()
+    corpus = Corpus(first_week_end, weeks, week=(days + 6) // 7 + 1, **columns)
     log.info(
         "load_corpus %s: %d rows read, %d kept in weeks 1..%d, %.3f s",
         path, rows_read, len(corpus), weeks, time.perf_counter() - began,
@@ -485,17 +489,17 @@ def _chunks(path: str | Path) -> Iterator[str]:
 @_collector_paused()
 def _read_rows(
     path: str | Path, start: date, end: date
-) -> tuple[int, list[str], np.ndarray, list[str], list[str], str, np.ndarray] | None:
-    """The number of rows read, and the (ids, POSIX seconds, authors, texts,
-    normalized text, row starts) of those dated start..end as Corpus holds
-    them; or None when some record is one that ingest rejects."""
+) -> tuple[int, dict[str, Any]] | None:
+    """The number of rows read, and the Corpus columns of those dated
+    start..end but week; or None when some record is one that ingest
+    rejects."""
     seen: set[str] = set()  # the id of every row read
     ids: list[str] = []
-    authors: list[str] = []
-    texts: list[str] = []
     seconds: list[np.ndarray] = []
+    authors: list[str] = []
+    author_lengths: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     normalized: list[str] = []
-    lengths: list[np.ndarray] = []
+    steps: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     try:
         for chunk in _chunks(path):
             columns = _read_columns(chunk, seen)
@@ -514,25 +518,23 @@ def _read_rows(
                 continue
             # Each text normalized on its own: str.lower maps Σ by its neighbours.
             rows = list(map(normalize, chunk_texts))
-            lengths.append(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
+            steps.append(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) + 1)
             normalized.append("\n".join(rows))
+            author_lengths.append(np.fromiter(map(len, chunk_authors), dtype=np.int64))
+            authors.append("".join(chunk_authors))
             ids += chunk_ids
-            authors += chunk_authors
-            texts += chunk_texts
             seconds.append(chunk_seconds)
     except UnicodeDecodeError:
         return None  # ingest re-reads the file and names the line
     rows_read = len(seen)
     del seen  # before the text is joined, which is the peak
-    steps = np.concatenate([np.zeros(0, dtype=np.int64), *lengths]) + 1
-    return (
-        rows_read,
-        ids,
-        np.concatenate([np.zeros(0, dtype=np.int64), *seconds]),
-        authors,
-        texts,
-        "\n".join(normalized),
-        np.cumsum(steps) - steps,
+    return rows_read, dict(
+        ids=ids,
+        seconds=np.concatenate([np.zeros(0, dtype=np.int64), *seconds]),
+        authors="".join(authors),
+        author_starts=np.concatenate(author_lengths).cumsum(),
+        normalized="\n".join(normalized),
+        starts=np.concatenate(steps).cumsum(),
     )
 
 

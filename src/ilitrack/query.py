@@ -169,9 +169,13 @@ def _render_groups(groups: frozenset[frozenset[Term]], sign: str) -> list[str]:
 
 def matches(query: Query, message: TokenizedMessage) -> bool:
     """Evaluate the query against one tokenized message."""
+    return matches_tokens(query, message.tokens)
+
+
+def matches_tokens(query: Query, tokens: Sequence[str]) -> bool:
+    """matches() of a message with these tokens."""
     # Plain loops instead of any(genexpr): this runs once per message per
     # query, and the generator frames dominate the cost on large corpora.
-    tokens = message.tokens
     for t in query.base_terms:
         if t.found_in(tokens):
             break

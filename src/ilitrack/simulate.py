@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from datetime import datetime, time, timezone
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .classify import bucket_fractions  # noqa: F401  (perfbench/spans.py wraps it here)
-from .classify import ClassifierModel, WeekScores, predict_proba
-from .corpus import Message, TokenizedMessage, WeekBucket, json_int, tokenize, tokenize_message
-from .query import GATE_QUERY, Query, Term, matches
+from .classify import ClassifierModel, WeekScores, score_tokens
+from .corpus import Corpus, Message, TokenizedMessage, WeekBucket, json_int
+from .corpus import tokenize, tokenize_message
+from .query import GATE_QUERY, Query, Term, matches, matches_tokens
 from .regress import RegressionModel, WeeklySeries, clamp_fraction, predict
 
 METHODS = ("keywords", "classify-soft", "classify-hard")
@@ -44,17 +46,23 @@ class SimulationError(ValueError):
 @dataclass(frozen=True, slots=True)
 class SpuriousPool:
     """Gate-matching messages identified as news/spurious by author or text
-    markers. source_rule records how they were selected."""
+    markers, kept as their token sequences: all that injection copies and
+    scores. Injection draws them by index, so their order is part of the
+    result; a corpus's pool is in (timestamp, id) order. source_rule
+    records how they were selected."""
 
-    messages: tuple[TokenizedMessage, ...]
+    tokens: tuple[tuple[str, ...], ...]
     source_rule: str
 
     def __post_init__(self) -> None:
-        if not self.messages:
-            raise SimulationError("spurious pool is empty")
+        if not self.tokens:
+            raise SimulationError(
+                "no spurious messages matched, so the pool is empty; widen the author "
+                f"or text markers (rule was: {self.source_rule})"
+            )
 
     def __len__(self) -> int:
-        return len(self.messages)
+        return len(self.tokens)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,14 +107,28 @@ class InjectionSchedule:
         return cls(pairs=tuple(zip(tail, DEFAULT_SCHEDULE_COUNTS)))
 
 
-def _marker_phrases(markers: Sequence[str]) -> list[tuple[str, ...]]:
-    phrases = []
-    for m in markers:
-        toks = tuple(tokenize(m))
-        if not toks:
+def _markers(
+    author_markers: Sequence[str], text_markers: Sequence[str]
+) -> tuple[list[str], list[Term], str]:
+    """The lowercased author markers, the text markers as terms and the
+    pool's source_rule."""
+    if not author_markers or not text_markers:
+        raise SimulationError("author and text marker lists must be non-empty")
+    author_lower = [a.lower() for a in author_markers]
+    if any(not a for a in author_lower):
+        raise SimulationError("author markers must be non-empty strings")
+    terms = []
+    for m in text_markers:
+        tokens = tuple(tokenize(m))
+        if not tokens:
             raise SimulationError(f"text marker {m!r} contains no tokens")
-        phrases.append(toks)
-    return phrases
+        terms.append(Term(tokens=tokens))
+    rule = (
+        f"gate query [{GATE_QUERY.render()}] AND "
+        f"(author contains {list(author_markers)} OR "
+        f"text has phrase {list(text_markers)})"
+    )
+    return author_lower, terms, rule
 
 
 def build_spurious_pool(
@@ -120,33 +142,34 @@ def build_spurious_pool(
     (case-insensitive substring) or its text contains any text marker as a
     contiguous token phrase; "ap" matches the token "ap", never "happy".
     """
-    if not author_markers or not text_markers:
-        raise SimulationError("author and text marker lists must be non-empty")
-    author_lower = [a.lower() for a in author_markers]
-    if any(not a for a in author_lower):
-        raise SimulationError("author markers must be non-empty strings")
-    phrases = [Term(tokens=p) for p in _marker_phrases(text_markers)]
-    pool: list[TokenizedMessage] = []
+    author_lower, terms, rule = _markers(author_markers, text_markers)
+    pool: list[tuple[str, ...]] = []
     for m in messages:
         tm = m if isinstance(m, TokenizedMessage) else tokenize_message(m)
         if not matches(GATE_QUERY, tm):
             continue
         author = tm.message.author.lower()
-        if any(a in author for a in author_lower) or any(
-            t.found_in(tm.tokens) for t in phrases
-        ):
-            pool.append(tm)
-    rule = (
-        f"gate query [{GATE_QUERY.render()}] AND "
-        f"(author contains {list(author_markers)} OR "
-        f"text has phrase {list(text_markers)})"
-    )
-    if not pool:
-        raise SimulationError(
-            "no spurious messages matched; widen the author or text markers "
-            f"(rule was: {rule})"
-        )
-    return SpuriousPool(messages=tuple(pool), source_rule=rule)
+        if any(a in author for a in author_lower) or any(t.found_in(tm.tokens) for t in terms):
+            pool.append(tm.tokens)
+    return SpuriousPool(tokens=tuple(pool), source_rule=rule)
+
+
+def corpus_spurious_pool(
+    corpus: Corpus,
+    gate: np.ndarray,
+    author_markers: Sequence[str] = DEFAULT_AUTHOR_MARKERS,
+    text_markers: Sequence[str] = DEFAULT_TEXT_MARKERS,
+) -> SpuriousPool:
+    """build_spurious_pool of the corpus's messages in (timestamp, id)
+    order, where gate is match_rows(GATE_QUERY, corpus): the gate rows
+    whose author holds a marker or whose text holds a marker phrase."""
+    author_lower, terms, rule = _markers(author_markers, text_markers)
+    marked = np.logical_or.reduce([corpus.rows_with(t.tokens) for t in terms])
+    rows = [
+        r for r in np.flatnonzero(gate).tolist()
+        if marked[r] or any(a in corpus.author(r).lower() for a in author_lower)
+    ]
+    return SpuriousPool(tokens=tuple(map(tuple, corpus.tokens(rows))), source_rule=rule)
 
 
 def inject(
@@ -157,9 +180,10 @@ def inject(
 ) -> list[WeekBucket]:
     """Return new buckets with pool messages resampled into scheduled weeks.
 
-    Sampling is with replacement. Injected copies get fresh ids
-    (original id + "#inj<ordinal>") so id uniqueness survives; untouched
-    weeks are passed through unchanged and the inputs are never mutated.
+    Sampling is with replacement. An injected copy is a new message with
+    the pool message's tokens, dated at the start of its week's last day,
+    and a fresh id ("#inj<ordinal>"); untouched weeks are passed through
+    unchanged and the inputs are never mutated.
     """
     by_index = {b.week_index: b for b in buckets}
     missing = [w for w in schedule.weeks if w not in by_index]
@@ -174,11 +198,12 @@ def inject(
         if n == 0:
             out.append(bucket)
             continue
+        day = datetime.combine(bucket.end_date, time(), timezone.utc)
         injected = []
-        for i in rng.integers(0, len(pool.messages), size=n).tolist():
-            src = pool.messages[i]
-            clone = replace(src.message, id=f"{src.message.id}#inj{ordinal}")
-            injected.append(TokenizedMessage(message=clone, tokens=src.tokens))
+        for i in rng.integers(0, len(pool), size=n).tolist():
+            tokens = pool.tokens[i]
+            clone = Message(id=f"#inj{ordinal}", timestamp=day, author="", text=" ".join(tokens))
+            injected.append(TokenizedMessage(message=clone, tokens=tokens))
             ordinal += 1
         out.append(replace(bucket, messages=bucket.messages + tuple(injected)))
     return out
@@ -246,13 +271,14 @@ def run_simulation(
     if absent:
         raise SimulationError(f"schedule week(s) {absent} not present in the corpus")
     pool_probs = [
-        predict_proba(classifier, tm) if matches(query, tm) else None for tm in pool.messages
+        score_tokens(classifier, tokens) if matches_tokens(query, tokens) else None
+        for tokens in pool.tokens
     ]
     rng = np.random.default_rng([seed, 2])
     injected = dict(clean)
     for week, n in sorted(schedule.pairs):  # inject()'s order: by week, no draw for 0
         if n:
-            picks = rng.integers(0, len(pool.messages), size=n).tolist()
+            picks = rng.integers(0, len(pool), size=n).tolist()
             probs = tuple(pool_probs[i] for i in picks if pool_probs[i] is not None)
             injected[week] = WeekScores(week, clean[week].total + n, clean[week].probs + probs)
 

@@ -28,7 +28,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .classify import LabeledMessage
-from .corpus import Message, json_float, json_int, tokenize, tokenize_message
+from .corpus import Message, json_float, json_int, json_list, json_str, tokenize
+from .corpus import tokenize_message
 from .query import GATE_QUERY, matches
 from .regress import logit, sigmoid
 
@@ -202,7 +203,7 @@ class SynthConfig:
                 kwargs["ili_curve"] = tuple(json_float(v) for v in doc["ili_curve"])
             for name in ("positive_templates", "negative_templates", "spurious_templates"):
                 if name in doc:
-                    kwargs[name] = tuple(str(t) for t in doc[name])
+                    kwargs[name] = tuple(json_str(t) for t in json_list(doc[name]))
         except (TypeError, ValueError) as exc:
             raise SynthError(f"bad config document: {exc}") from None
         if "ili_curve" not in doc and "weeks" in doc:

@@ -8,6 +8,8 @@ import random
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilitrack.classify import (
     REFERENCE_CV,
@@ -23,6 +25,7 @@ from ilitrack.classify import (
     loss_and_grad,
     predict_label,
     predict_proba,
+    score_tokens,
     train,
 )
 from ilitrack.classify import _design_matrix, _fingerprint
@@ -137,6 +140,27 @@ def test_featurize_counts_and_bias():
     vocab = {"cough": 1, "flu": 2}
     feats = featurize(tmsg("flu cough flu zebra"), vocab)
     assert feats == {0: 1, 1: 1, 2: 2}  # zebra dropped, bias always 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(("flu", "cough", "ap", "zebra", "x")), max_size=10),
+    st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
+)
+def test_score_tokens_sums_the_features_in_order(tokens, theta):
+    model = ClassifierModel(
+        vocabulary={"ap": 1, "cough": 2, "flu": 3}, theta=tuple(theta),
+        l2_lambda=1.0, trained_on="t", converged=True,
+    )
+    tm = tmsg(" ".join(tokens))
+    # The bias, then weight times count of each known token in first-seen
+    # order: the same sums in the same order give the same bits.
+    z = theta[0]
+    for tok in dict.fromkeys(tokens):
+        if tok in model.vocabulary:
+            z += theta[model.vocabulary[tok]] * tokens.count(tok)
+    assert score_tokens(model, tokens).hex() == sigmoid(z).hex()
+    assert predict_proba(model, tm).hex() == sigmoid(z).hex()
 
 
 # --- loss and gradient ----------------------------------------------------------
@@ -270,7 +294,9 @@ def test_model_validation():
                  '{"vocabulary": {"a": "one"}, "theta": [0, 0], "l2_lambda": 1, '
                  '"trained_on": "x", "converged": true}',
                  # float() would read these as (nan, 1.0), bool() as True
-                 doc % ('["nan", true]', "true"), doc % ("[0, 0]", '"no"')):
+                 doc % ('["nan", true]', "true"), doc % ("[0, 0]", '"no"'),
+                 # str() would read this as "5"
+                 (doc % ("[0, 0]", "true")).replace('"x"', "5")):
         with pytest.raises(ClassifierError, match="bad classifier"):
             ClassifierModel.from_json(text)
 

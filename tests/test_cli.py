@@ -489,6 +489,26 @@ def test_simulate_schedule_from_file_and_bad_inline(work, tmp_path, capsys):
     assert "neither a file nor inline JSON" in captured.err
 
 
+def test_simulate_long_inline_schedule_and_its_rerun(tmp_path, capsys):
+    # Over 255 bytes, the argument is no name the file system can look up.
+    syn = tmp_path / "syn"
+    run_ok(capsys, ["synth", "--seed", "3", "--weeks", "36", "--messages-per-week", "100",
+                    "--labeled-pos", "20", "--labeled-neg", "10", "--out", str(syn)])
+    schedule = json.dumps({"pairs": [[w, 10] for w in range(1, 37)]})
+    assert len(schedule.encode("utf-8")) > 255
+    a = tmp_path / "a"
+    run_ok(capsys, [
+        "simulate", "--messages", str(syn / "messages.jsonl"), "--ili", str(syn / "ili.csv"),
+        "--train", str(syn / "labeled.jsonl"), "--seed", "2", "--schedule", schedule,
+        "--out", str(a),
+    ])
+    doc = json.loads((a / "simulation_summary.json").read_text(encoding="utf-8"))
+    assert doc["weeks"] == list(range(1, 37))
+    b = tmp_path / "b"
+    run_ok(capsys, ["rerun", "--run", str(a / "run.json"), "--out", str(b)])
+    assert read_tree(a) == read_tree(b)
+
+
 def test_simulate_schedule_week_outside_corpus(work, tmp_path, capsys):
     captured = run_fail(capsys, [
         "simulate", "--messages", str(work["messages"]), "--ili", str(work["ili"]),
@@ -628,11 +648,22 @@ NOT_NUMBERS_OR_BOOLS = {
     ("synth config", "string noise_sd"): b'{"seed": 1, "noise_sd": "0.5"}',
     ("synth config", "boolean true_beta1"): b'{"seed": 1, "true_beta1": true}',
 }
+# String and list fields hold JSON strings and arrays: str() would read 5
+# as "5", and tuple() would read a string as its characters.
+NOT_STRINGS_OR_LISTS = {
+    ("classifier", "number trained_on"): (CLASSIFIER_DOC % "1").replace('"x"', "5").encode(),
+    ("synth config", "string templates"): b'{"seed": 1, "positive_templates": "abc"}',
+    ("synth config", "number templates"): b'{"seed": 1, "positive_templates": [1, 2]}',
+    ("run.json", "number command"): b'{"command": 5, "argv": []}',
+    ("run.json", "string argv"): b'{"command": "synth", "argv": "--seed 1"}',
+    ("run.json", "number in argv"): b'{"command": "synth", "argv": ["--seed", 1]}',
+}
 MALFORMED_CASES = [
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for loader in LOADERS for name, content in BAD_CONTENTS.items()),
     *(pytest.param(loader, content, id=f"{loader}-{name}")
-      for (loader, name), content in (NOT_INTEGERS | NOT_NUMBERS_OR_BOOLS).items()),
+      for (loader, name), content
+      in (NOT_INTEGERS | NOT_NUMBERS_OR_BOOLS | NOT_STRINGS_OR_LISTS).items()),
 ]
 
 

@@ -320,18 +320,25 @@ def reference_buckets(path, weeks):
 
 def assert_holds_buckets(corpus, reference):
     """The corpus holds what the reference buckets hold: each row's week,
-    the weekly totals and end dates, and the same TokenizedMessages for
-    all rows and for a subset given in reverse."""
+    POSIX second and author, the weekly totals and end dates, and the same
+    tokens in the same (timestamp, id) order for all rows and for a subset
+    given in reverse."""
+    everything = [tm for b in reference for tm in b.messages]
     assert dict(zip(corpus.ids, corpus.week.tolist())) == {
         tm.message.id: b.week_index for b in reference for tm in b.messages
     }
+    assert dict(zip(corpus.ids, corpus.seconds.tolist())) == {
+        tm.message.id: int(tm.message.timestamp.timestamp()) for tm in everything
+    }
+    assert {corpus.ids[r]: corpus.author(r) for r in range(len(corpus))} == {
+        tm.message.id: tm.message.author for tm in everything
+    }
     assert corpus.totals() == [len(b.messages) for b in reference]
     assert corpus.end_dates() == [b.end_date for b in reference]
-    everything = [tm for b in reference for tm in b.messages]
-    assert corpus.tokenized(range(len(corpus))) == everything
+    assert corpus.tokens(range(len(corpus))) == [list(tm.tokens) for tm in everything]
     some = list(range(len(corpus)))[::-2]
     wanted = {corpus.ids[r] for r in some}
-    assert corpus.tokenized(some) == [tm for tm in everything if tm.message.id in wanted]
+    assert corpus.tokens(some) == [list(tm.tokens) for tm in everything if tm.message.id in wanted]
 
 
 # Characters where a tokenizer that works word by word could go wrong:
@@ -361,15 +368,13 @@ def test_load_corpus_tokens_equal_tokenize(texts):
         write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])
         corpus = load_corpus(p, FIRST_END, 1)
     assert corpus.ids == [f"m{i}" for i in range(len(texts))]
-    assert corpus.texts == texts
-    # Each row's normalized text, as tokenize splits it, at its offset.
-    ends = [*(corpus.starts[1:] - 1).tolist(), len(corpus.normalized)]
-    assert [corpus.normalized[a:b] for a, b in zip(corpus.starts.tolist(), ends)] == [
+    # Each row's normalized text, between its offset and the next row's "\n".
+    bounds = corpus.starts.tolist()
+    assert [corpus.normalized[a : b - 1] for a, b in zip(bounds, bounds[1:])] == [
         normalize(t) for t in texts
     ]
-    assert {tm.message.id: list(tm.tokens) for tm in corpus.tokenized(range(len(texts)))} == {
-        f"m{i}": tokenize(t) for i, t in enumerate(texts)
-    }
+    # One timestamp, so (timestamp, id) order is file order.
+    assert corpus.tokens(range(len(texts))) == [tokenize(t) for t in texts]
 
 
 TERM_GROUPS = st.frozensets(st.frozensets(TRICKY_TERMS, min_size=1, max_size=2), max_size=2)

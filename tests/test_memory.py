@@ -1,15 +1,19 @@
-"""Peak memory of `synth` and `fraction`, each run in a child process.
+"""Peak memory of `synth`, `fraction` and `simulate`, each run in a child
+process.
 
 Each command's extra memory is its peak resident set size minus that of a
 child that only imports the CLI. It must stay under a multiple of the
 messages file's size: the write path streams the file a week at a time,
-and the read path holds only the columns of the rows it keeps.
+and the read path holds only the columns of the rows it keeps, with no
+per-row text.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Linux keeps a process's peak RSS across fork and exec, so a child started
@@ -22,10 +26,13 @@ proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
-# Extra peak memory over the messages file's size. On a 9.4 MB file (8
-# weeks x 9000 messages) the extra is 3.1x for synth and 3.6x for fraction
-# here, and was 6.6x and 5.7x when both held the whole file in memory.
-BOUND = 4.5
+# Extra peak memory over the messages file's size, per command. On a 9.4
+# MiB file (8 weeks x 9000 messages) the extra is 3.1x for synth, 2.6x for
+# fraction and 2.7x for simulate --train here. It was 6.6x and 5.7x for
+# synth and fraction when both held the whole file in memory, and 3.6x for
+# fraction and 4.2x for simulate while the corpus kept every text and one
+# author string per row.
+BOUNDS = {"synth": 4.5, "fraction": 3.1, "simulate": 3.4}
 
 
 def peak_mib(*args: str) -> float:
@@ -39,21 +46,42 @@ def peak_mib(*args: str) -> float:
     return int(out[1]) / 1024
 
 
-def test_synth_and_fraction_memory_stays_under_a_multiple_of_the_file(tmp_path):
+@pytest.fixture(scope="module")
+def synth_run(tmp_path_factory):
+    """The import-only peak, synth's peak and its output directory."""
+    out = tmp_path_factory.mktemp("memory")
     base = peak_mib("-c", "import ilitrack.cli")
     synth = peak_mib(
         "-m", "ilitrack.cli", "synth", "--seed", "0", "--weeks", "8",
         "--messages-per-week", "9000", "--labeled-pos", "20", "--labeled-neg", "10",
-        "--out", str(tmp_path),
+        "--out", str(out),
     )
-    messages = tmp_path / "messages.jsonl"
-    size = messages.stat().st_size / 2**20
+    return base, synth, out
+
+
+def assert_under_bound(base, peaks, out):
+    size = (out / "messages.jsonl").stat().st_size / 2**20
+    extra = {command: (mib - base) / size for command, mib in peaks.items()}
+    assert all(extra[command] < BOUNDS[command] for command in peaks), (
+        f"extra memory per MiB of a {size:.1f} MiB file: {extra}; bounds {BOUNDS}"
+    )
+
+
+def test_synth_and_fraction_memory_stays_under_a_multiple_of_the_file(synth_run):
+    base, synth, out = synth_run
     fraction = peak_mib(
-        "-m", "ilitrack.cli", "fraction", "--messages", str(messages),
-        "--ili", str(tmp_path / "ili.csv"), "--query", "flu cough", "--seed", "0",
-        "--train-weeks", "1:4", "--eval-weeks", "5:8", "--out", str(tmp_path / "fraction"),
+        "-m", "ilitrack.cli", "fraction", "--messages", str(out / "messages.jsonl"),
+        "--ili", str(out / "ili.csv"), "--query", "flu cough", "--seed", "0",
+        "--train-weeks", "1:4", "--eval-weeks", "5:8", "--out", str(out / "fraction"),
     )
-    extra = {"synth": synth - base, "fraction": fraction - base}
-    assert all(mib < BOUND * size for mib in extra.values()), (
-        f"extra MiB {extra} over a {size:.1f} MiB file; bound {BOUND}x"
+    assert_under_bound(base, {"synth": synth, "fraction": fraction}, out)
+
+
+def test_simulate_memory_stays_under_a_multiple_of_the_file(synth_run):
+    base, _, out = synth_run
+    simulate = peak_mib(
+        "-m", "ilitrack.cli", "simulate", "--messages", str(out / "messages.jsonl"),
+        "--ili", str(out / "ili.csv"), "--train", str(out / "labeled.jsonl"), "--seed", "0",
+        "--out", str(out / "simulate"),
     )
+    assert_under_bound(base, {"simulate": simulate}, out)

@@ -508,7 +508,8 @@ def test_week_scores_agree_with_bucket_fractions(query, model, weeks_of_texts, s
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "msgs.jsonl"
         write_weeks(p, weeks_of_texts, shuffle)
-        scores = week_scores(query, load_corpus(p, SAT1, 3), model)
+        corpus = load_corpus(p, SAT1, 3)
+        scores = week_scores(match_rows(query, corpus), corpus, model)
         buckets = reference_buckets(p, 3)
     assert [(s.week_index, s.total) for s in scores] == [(b.week_index, len(b)) for b in buckets]
     # The same probabilities in the same (timestamp, id) order, and equal

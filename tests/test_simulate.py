@@ -2,15 +2,25 @@
 
 import json
 import math
-from datetime import date
+import tempfile
+from datetime import date, datetime, timedelta
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilitrack.classify import ClassifierModel, WeekScores, bucket_fractions, predict_proba
-from ilitrack.corpus import WeekBucket
-from ilitrack.query import GATE_QUERY, GATE_QUERY_TEXT, matches, parse_query
+from ilitrack import corpus as corpus_module
+from ilitrack.classify import (
+    ClassifierModel,
+    WeekScores,
+    bucket_fractions,
+    predict_proba,
+    score_tokens,
+)
+from ilitrack.corpus import WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
+from ilitrack.query import GATE_QUERY, GATE_QUERY_TEXT, match_rows, matches, parse_query
 from ilitrack.regress import RegressionModel, clamp_fraction, predict
 from ilitrack.simulate import (
     DEFAULT_AUTHOR_MARKERS,
@@ -23,6 +33,7 @@ from ilitrack.simulate import (
     SimulationReport,
     SpuriousPool,
     build_spurious_pool,
+    corpus_spurious_pool,
     inject,
     mse_vs_baseline,
     report_csv,
@@ -82,9 +93,9 @@ def pool_fixture_messages():
 
 
 def test_build_pool_selects_by_author_and_text():
-    pool = build_spurious_pool(pool_fixture_messages())
-    ids = sorted(tm.message.id for tm in pool.messages)
-    assert ids == ["n1", "n2", "n3", "n4"]
+    messages = pool_fixture_messages()
+    pool = build_spurious_pool(messages)
+    assert pool.tokens == tuple(tuple(tokenize(m.text)) for m in messages[:4])
     assert len(pool) == 4
     assert "gate query" in pool.source_rule
 
@@ -124,7 +135,87 @@ def test_pool_marker_validation():
     with pytest.raises(SimulationError, match="no tokens"):
         build_spurious_pool(msgs, text_markers=("!!",))
     with pytest.raises(SimulationError, match="empty"):
-        SpuriousPool(messages=(), source_rule="r")
+        SpuriousPool(tokens=(), source_rule="r")
+
+
+# Authors a marker can hide in: mixed case, non-ASCII, escaped by
+# json.dumps; None writes a record with no "author" key.
+MARKED_AUTHORS = st.sampled_from([
+    "ReutersWire", "DailyNEWSnetwork", "nEwS", "joe", "Jos\u00e9", "\u0130news",
+    "\u039d\u03ad\u03b1", "", 'a"b', "wire\n", "re\u00fcters",
+])
+POOL_AUTHORS = st.one_of(MARKED_AUTHORS, MARKED_AUTHORS, st.none(), st.text(max_size=6))
+POOL_WORDS = ("flu", "Flu,", "cough", "sore", "throat", "ap", "AP", "happy", "associated",
+              "press", "health", "officials", "http://ap.example", "ap_news", "x", "\u00e9")
+POOL_MESSAGES = st.lists(
+    st.tuples(st.integers(-2, 22), POOL_AUTHORS,
+              st.lists(st.sampled_from(POOL_WORDS), max_size=6).map(" ".join), st.booleans()),
+    max_size=15,
+)
+
+
+def pool_or_error(build):
+    try:
+        pool = build()
+    except SimulationError as exc:
+        return str(exc)
+    return pool.tokens, pool.source_rule
+
+
+@settings(max_examples=100, deadline=None)
+# The author marker in another case; a text marker only; two pool rows out
+# of time order in the file; no "author" key.
+@example([(3, "DailyNEWSnetwork", "flu", False)], ["news"], ["associated press"], [0.0] * 4)
+@example([(5, "joe", "AP says flu", True), (4, None, "health officials cough", False)],
+         ["reuters"], ["ap", "health officials"], [1.0, -1.0, 2.0, 0.5])
+@given(
+    POOL_MESSAGES,
+    st.lists(st.sampled_from(["news", "reuters", "\u00e9", "WIRE"]), min_size=1, max_size=2),
+    st.lists(st.sampled_from(["associated press", "ap", "health officials", "x"]),
+             min_size=1, max_size=2),
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+)
+def test_columnar_paths_agree_with_the_oracles(rows, author_markers, text_markers, theta):
+    # Days -2..22 from 2009-08-30: some messages fall outside weeks 1..3.
+    # A line is \u-escaped or not, and without an "author" key it is read
+    # line by line too.
+    lines = []
+    for i, (day, author, text, escaped) in enumerate(rows):
+        ts = datetime(2009, 8, 30) + timedelta(days=day, minutes=i)
+        record = {"id": f"m{i}", "timestamp": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                  "author": author, "text": text}
+        if author is None:
+            del record["author"]
+        lines.append(json.dumps(record, ensure_ascii=escaped))
+    classifier = ClassifierModel(
+        vocabulary={"ap": 1, "flu": 2, "http": 3}, theta=tuple(theta),
+        l2_lambda=1.0, trained_on="t", converged=True,
+    )
+    first_end, weeks = date(2009, 9, 5), 3
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "msgs.jsonl"
+        p.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        buckets = bucket_weekly(ingest(p, (date(2009, 8, 30), date(2009, 9, 19))), first_end, weeks)
+        messages = [tm for b in buckets for tm in b.messages]
+        expected_pool = pool_or_error(
+            lambda: build_spurious_pool(messages, author_markers, text_markers)
+        )
+        for size in (corpus_module._CHUNK_CHARS, 37, 1):
+            with mock.patch.object(corpus_module, "_CHUNK_CHARS", size):
+                corpus = load_corpus(p, first_end, weeks)
+            tokens = corpus.tokens(range(len(corpus)))
+            assert tokens == [list(tm.tokens) for tm in messages]
+            assert {corpus.ids[r]: corpus.author(r) for r in range(len(corpus))} == {
+                tm.message.id: tm.message.author for tm in messages
+            }
+            # Bit for bit: the same sums in the same order.
+            assert [score_tokens(classifier, t).hex() for t in tokens] == [
+                predict_proba(classifier, tm).hex() for tm in messages
+            ]
+            gate = match_rows(GATE_QUERY, corpus)
+            assert pool_or_error(
+                lambda: corpus_spurious_pool(corpus, gate, author_markers, text_markers)
+            ) == expected_pool
 
 
 def test_default_markers():
@@ -168,9 +259,9 @@ def test_inject_counts_and_ids():
     originals = {tm.message.id for tm in buckets[1].messages}
     added = [tm for tm in out[1].messages if tm.message.id not in originals]
     assert len(added) == 5
-    pool_texts = {tm.message.text for tm in pool.messages}
     for i, tm in enumerate(added):
-        assert tm.message.text in pool_texts
+        assert tm.tokens in pool.tokens
+        assert tuple(tokenize(tm.message.text)) == tm.tokens
         assert "#inj" in tm.message.id
     # Fresh ids stay unique even when the same source is drawn twice.
     ids = [tm.message.id for tm in out[1].messages]

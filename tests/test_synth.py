@@ -68,6 +68,10 @@ def test_default_curve_shape():
         # A config document holds finite JSON numbers in float fields.
         ('{"seed": 0, "noise_sd": "0.5"}', "bad config document"),
         ('{"seed": 0, "true_beta1": true}', "bad config document"),
+        # ... and templates a JSON array of strings: tuple() would read "abc"
+        # as ("a", "b", "c"), str() the numbers as ("1", "2").
+        ('{"seed": 0, "positive_templates": "abc"}', "bad config document"),
+        ('{"seed": 0, "positive_templates": [1, 2]}', "bad config document"),
     ],
 )
 def test_config_validation(kwargs, complaint):
