@@ -7,17 +7,19 @@ cadence of public ILI surveillance data.
 
 from __future__ import annotations
 
+import bisect
 import gc
 import json
 import logging
 import math
 import re
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -366,34 +368,56 @@ def _collector_paused() -> Iterator[None]:
 
 
 @dataclass(frozen=True, eq=False)
+class Block:
+    """The rows one chunk of the file kept, as strings with offsets. Row i's
+    normalize(text) is normalized[starts[i] : starts[i + 1] - 1], the rows
+    joined by "\n" (no row holds one of its own); its author is
+    authors[author_starts[i] : author_starts[i + 1]], its id likewise."""
+
+    normalized: str
+    starts: np.ndarray
+    authors: str
+    author_starts: np.ndarray
+    ids: str
+    id_starts: np.ndarray
+
+
+def _joined(pieces: list[str], sep: str = "") -> tuple[str, np.ndarray]:
+    """pieces joined by sep, piece i at offsets[i] : offsets[i + 1] -
+    len(sep). The offsets are int32 when the joined string allows: a
+    chunk's normalized text is bounded, but an author or id is not."""
+    offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, pieces), np.int64, len(pieces)) + len(sep), out=offsets[1:])
+    if offsets[-1] <= np.iinfo(np.int32).max:
+        offsets = offsets.astype(np.int32)
+    return sep.join(pieces), offsets
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """The messages of weeks 1..weeks as columns: what
     bucket_weekly(ingest(...)) holds, without one object per message.
 
-    Rows are in file order. Row r is message ids[r], posted at POSIX second
-    seconds[r]; week[r] is its 1-based week index. normalized is every
-    normalize(text) joined by "\n", row r's at starts[r]:starts[r + 1] - 1;
-    no row holds a "\n" of its own, so rows_with finds a phrase's rows in
-    it with one regular expression. authors is every author joined, row
-    r's (author(r)) at author_starts[r]:author_starts[r + 1].
+    Rows are in file order. Row r was posted at POSIX second seconds[r];
+    week[r] is its 1-based week index. Its text, author and id are row
+    r - row0[b] of blocks[b], the last block with row0[b] <= r. Blocks are
+    never joined, so nothing copies every text at once, and a character
+    that a str stores in 2 or 4 bytes widens only its own block.
 
-    These columns are all that load_corpus keeps of the file, which it
-    reads in chunks. It keeps no text: matching, scoring (tokens) and
-    simulate's spurious pool (tokens, author) read normalized.
+    These columns are all that load_corpus keeps of the file. It keeps no
+    text: matching, scoring (tokens) and simulate's spurious pool (tokens,
+    author) read the normalized text.
     """
 
     first_week_end: date
     weeks: int
-    ids: list[str]
     seconds: np.ndarray
-    authors: str
-    author_starts: np.ndarray
     week: np.ndarray
-    normalized: str
-    starts: np.ndarray
+    row0: tuple[int, ...]
+    blocks: tuple[Block, ...]
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.seconds)
 
     def end_dates(self) -> list[date]:
         return [self.first_week_end + timedelta(days=7 * i) for i in range(self.weeks)]
@@ -402,34 +426,47 @@ class Corpus:
         """Number of messages in each week, weeks 1..weeks."""
         return np.bincount(self.week, minlength=self.weeks + 1)[1:].tolist()
 
+    def _locate(self, r: int) -> tuple[Block, int]:
+        b = bisect.bisect_right(self.row0, r) - 1
+        return self.blocks[b], r - self.row0[b]
+
+    def id(self, r: int) -> str:
+        block, i = self._locate(r)
+        return block.ids[block.id_starts[i] : block.id_starts[i + 1]]
+
     def author(self, r: int) -> str:
-        return self.authors[self.author_starts[r] : self.author_starts[r + 1]]
+        block, i = self._locate(r)
+        return block.authors[block.author_starts[i] : block.author_starts[i + 1]]
 
     def rows_with(self, tokens: Sequence[str]) -> np.ndarray:
         """One bool per row: whether tokens appear contiguously and in order
         in the row's tokens.
 
-        A row's tokens are its maximal runs of token characters in
-        normalized, so the phrase is its tokens, a token character on
-        neither side, and runs of other characters between them that stay
-        inside the row. The first token leads the pattern, so the engine
-        finds it by plain string search."""
+        A row's tokens are its maximal runs of token characters in its
+        block's normalized text, so the phrase is its tokens, a token
+        character on neither side, and runs of other characters between
+        them that stay inside the row. The first token leads the pattern,
+        so the engine finds it by plain string search."""
         first = re.escape(tokens[0])
         pattern = f"{first}(?<![{_TOKEN_CHARS}]{first})"
         for token in tokens[1:]:
             pattern += f"[^{_TOKEN_CHARS}\\n]+{re.escape(token)}"
-        pattern += f"(?![{_TOKEN_CHARS}])"
-        at = np.fromiter((m.start() for m in re.finditer(pattern, self.normalized)), np.int64)
+        found = re.compile(pattern + f"(?![{_TOKEN_CHARS}])")
         rows = np.zeros(len(self), dtype=bool)
-        rows[np.searchsorted(self.starts, at, side="right") - 1] = True
+        for row0, block in zip(self.row0, self.blocks):
+            at = np.fromiter((m.start() for m in found.finditer(block.normalized)), np.int64)
+            rows[row0 + np.searchsorted(block.starts, at, side="right") - 1] = True
         return rows
 
     def tokens(self, rows: Iterable[int]) -> list[list[str]]:
         """tokenize(text) of each row's text, in (timestamp, id) order as
         bucket_weekly orders messages: a row's tokens are the maximal runs
-        of token characters in its part of normalized."""
-        ordered = sorted(map(int, rows), key=lambda r: (int(self.seconds[r]), self.ids[r]))
-        return [_TOKEN_RE.findall(self.normalized, *self.starts[r : r + 2]) for r in ordered]
+        of token characters in its part of its block's normalized text."""
+        ordered = sorted(map(int, rows), key=lambda r: (int(self.seconds[r]), self.id(r)))
+        return [
+            _TOKEN_RE.findall(block.normalized, *block.starts[i : i + 2])
+            for block, i in map(self._locate, ordered)
+        ]
 
 
 def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
@@ -440,32 +477,39 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
     messages, and it rejects the same files with the same CorpusError.
 
     The file is read _CHUNK_CHARS characters at a time, each chunk ending
-    at the end of a line, so only the columns of the rows kept grow with
-    the file. In each chunk, lines in the layout messages_jsonl writes are
-    read by one regular expression and checked column by column, other
-    lines are decoded one by one, rows outside the weeks are dropped and
-    each text is normalized once; the text itself is not kept, and each
-    author is appended to one joined string. Ids must be unique across
-    every row read, dropped rows too. When any check fails, ingest reads
-    the file again to raise its error, which names the first bad line. No
-    text is tokenized here: a query finds its rows in the normalized text
-    (Corpus.rows_with), and scoring tokenizes only the rows it scores
-    (Corpus.tokens).
+    at the end of a line, and the rows each chunk keeps become one Block,
+    so only the columns of the rows kept grow with the file. In each chunk,
+    lines in the layout messages_jsonl writes are read by one regular
+    expression and checked column by column, other lines are decoded one by
+    one, rows outside the weeks are dropped and each text is normalized
+    once; the text itself is not kept. Ids must be unique across every row
+    read, dropped rows too; only the hash of each is kept. When any check
+    fails, or two hashes are equal, ingest reads the file again to raise
+    its error, which names the first bad line; it returns when only the
+    hashes collide. No text is tokenized here: a query finds its rows in
+    the normalized text (Corpus.rows_with), and scoring tokenizes only the
+    rows it scores (Corpus.tokens).
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
     start = first_week_end - timedelta(days=6)
     end = first_week_end + timedelta(days=7 * (weeks - 1))
-    kept = _read_rows(path, start, end)
-    if kept is None:
+    read = _read_rows(path, start, end)
+    if read is None:
         ingest(path, (start, end))  # raises, naming the first bad line
         raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-    rows_read, columns = kept
-    days = columns["seconds"] // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal()
-    corpus = Corpus(first_week_end, weeks, week=(days + 6) // 7 + 1, **columns)
+    hashes, seconds, blocks = read
+    if (hashes[1:] == hashes[:-1]).any():
+        ingest(path, (start, end))  # raises if two ids are equal, not only their hashes
+    days = seconds // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal()
+    row0 = tuple(np.cumsum([0, *(len(b.starts) - 1 for b in blocks)])[:-1].tolist())
+    corpus = Corpus(first_week_end, weeks, seconds, (days + 6) // 7 + 1, row0, tuple(blocks))
+    sizes = [sum(sys.getsizeof(getattr(b, name)) for b in blocks)
+             for name in ("normalized", "authors", "ids")]
     log.info(
-        "load_corpus %s: %d rows read, %d kept in weeks 1..%d, %.3f s",
-        path, rows_read, len(corpus), weeks, time.perf_counter() - began,
+        "load_corpus %s: %d rows read, %d kept in weeks 1..%d, %d blocks holding "
+        "%d normalized, %d author and %d id bytes, %.3f s",
+        path, len(hashes), len(corpus), weeks, len(blocks), *sizes, time.perf_counter() - began,
     )
     _warn_empty(corpus.totals())
     return corpus
@@ -474,6 +518,8 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
 # load_corpus reads this many characters at a time, plus the rest of the
 # line the cut falls in.
 _CHUNK_CHARS = 1 << 20
+# load_corpus checks that ids are unique by their values under this.
+_id_hash = hash
 
 
 def _chunks(path: str | Path) -> Iterator[str]:
@@ -489,53 +535,35 @@ def _chunks(path: str | Path) -> Iterator[str]:
 @_collector_paused()
 def _read_rows(
     path: str | Path, start: date, end: date
-) -> tuple[int, dict[str, Any]] | None:
-    """The number of rows read, and the Corpus columns of those dated
-    start..end but week; or None when some record is one that ingest
-    rejects."""
-    seen: set[str] = set()  # the id of every row read
-    ids: list[str] = []
-    seconds: list[np.ndarray] = []
-    authors: list[str] = []
-    author_lengths: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    normalized: list[str] = []
-    steps: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+) -> tuple[np.ndarray, np.ndarray, list[Block]] | None:
+    """The sorted _id_hash of the id of every row read, and the POSIX
+    seconds and the Blocks of the rows dated start..end; or None when some
+    record is one that ingest rejects."""
+    hashes: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    seconds: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    blocks: list[Block] = []
     try:
         for chunk in _chunks(path):
-            columns = _read_columns(chunk, seen)
+            columns = _read_columns(chunk)
             if columns is None:
                 return None
-            chunk_ids, chunk_seconds, chunk_authors, chunk_texts = columns
+            ids, chunk_seconds, authors, texts = columns
+            hashes.append(np.fromiter(map(_id_hash, ids), np.int64, count=len(ids)))
             ordinal = chunk_seconds // 86400 + _EPOCH_ORDINAL
             inside = (ordinal >= start.toordinal()) & (ordinal <= end.toordinal())
             if not inside.all():
                 keep = np.flatnonzero(inside).tolist()
-                chunk_ids, chunk_authors, chunk_texts = (
-                    [column[r] for r in keep] for column in (chunk_ids, chunk_authors, chunk_texts)
-                )
+                ids, authors, texts = ([col[r] for r in keep] for col in (ids, authors, texts))
                 chunk_seconds = chunk_seconds[inside]
-            if not chunk_ids:
+            if not ids:
                 continue
             # Each text normalized on its own: str.lower maps Σ by its neighbours.
-            rows = list(map(normalize, chunk_texts))
-            steps.append(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) + 1)
-            normalized.append("\n".join(rows))
-            author_lengths.append(np.fromiter(map(len, chunk_authors), dtype=np.int64))
-            authors.append("".join(chunk_authors))
-            ids += chunk_ids
+            normalized = _joined(list(map(normalize, texts)), "\n")
+            blocks.append(Block(*normalized, *_joined(authors), *_joined(ids)))
             seconds.append(chunk_seconds)
     except UnicodeDecodeError:
         return None  # ingest re-reads the file and names the line
-    rows_read = len(seen)
-    del seen  # before the text is joined, which is the peak
-    return rows_read, dict(
-        ids=ids,
-        seconds=np.concatenate([np.zeros(0, dtype=np.int64), *seconds]),
-        authors="".join(authors),
-        author_starts=np.concatenate(author_lengths).cumsum(),
-        normalized="\n".join(normalized),
-        starts=np.concatenate(steps).cumsum(),
-    )
+    return np.sort(np.concatenate(hashes)), np.concatenate(seconds), blocks
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -552,12 +580,10 @@ _LINE_RE = re.compile(
 )
 
 
-def _read_columns(
-    chunk: str, seen: set[str]
-) -> tuple[list[str], np.ndarray, list[str], list[str]] | None:
+def _read_columns(chunk: str) -> tuple[list[str], np.ndarray, list[str], list[str]] | None:
     """(ids, POSIX seconds, authors, texts) of every record in a chunk of
-    whole lines, or None when some record is one that ingest rejects. An id
-    already in seen is a duplicate; seen gets the chunk's ids."""
+    whole lines, or None when some record is one that ingest rejects, apart
+    from a duplicate id."""
     rows = _LINE_RE.findall(chunk)
     if not rows:
         return [], np.zeros(0, dtype=np.int64), [], []
@@ -573,13 +599,7 @@ def _read_columns(
             return None  # ingest re-reads the file and names the line
         ids[r], authors[r], texts[r] = message.id, message.author, message.text
         stamps[r] = record["timestamp"][:19]
-    known = len(seen)
-    seen.update(ids)
-    if (
-        not all(ids)
-        or len(seen) != known + len(ids)
-        or max(map(len, texts), default=0) > MAX_TEXT_CHARS
-    ):
+    if not all(ids) or max(map(len, texts), default=0) > MAX_TEXT_CHARS:
         return None
     seconds = _posix_seconds(stamps)
     if seconds is None:
@@ -587,41 +607,19 @@ def _read_columns(
     return ids, seconds, authors, texts
 
 
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# POSIX second of 0001-01-01T00:00:00, the first time datetime accepts.
+_YEAR_1 = (date(1, 1, 1).toordinal() - _EPOCH_ORDINAL) * 86400
 
 
 def _posix_seconds(stamps: list[str]) -> np.ndarray | None:
     """POSIX seconds of "YYYY-MM-DDTHH:MM:SS" UTC strings, or None if any of
-    them is not a time datetime accepts (year 0, February 30, hour 24, ...)."""
-    if not stamps:
-        return np.zeros(0, dtype=np.int64)
-    raw = np.frombuffer("".join(stamps).encode("ascii"), dtype=np.uint8).reshape(-1, 19)
-    digits = raw[:, [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]].astype(np.int64) - ord("0")
-    year = ((digits[:, 0] * 10 + digits[:, 1]) * 10 + digits[:, 2]) * 10 + digits[:, 3]
-    month, day, hour, minute, second = (
-        digits[:, i] * 10 + digits[:, i + 1] for i in range(4, 14, 2)
-    )
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_ok = (month >= 1) & (month <= 12)
-    days_in_month = _DAYS_IN_MONTH[np.where(month_ok, month, 0)] + (leap & (month == 2))
-    if not (
-        (year >= 1).all()
-        and month_ok.all()
-        and ((day >= 1) & (day <= days_in_month)).all()
-        and (hour <= 23).all()
-        and (minute <= 59).all()
-        and (second <= 59).all()
-    ):
+    them is not a time datetime accepts (year 0, February 30, hour 24, ...).
+    numpy's parser checks every field's range but allows year 0."""
+    try:
+        seconds = np.array(stamps, dtype="datetime64[s]").astype(np.int64)
+    except ValueError:
         return None
-    # Days since 1970-01-01 from the civil date (March-based years, so the
-    # leap day falls at the end of the year).
-    y = year - (month <= 2)
-    era = y // 400
-    year_of_era = y - era * 400
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
-    days = era * 146097 + day_of_era - 719468
-    return days * 86400 + hour * 3600 + minute * 60 + second
+    return seconds if (seconds >= _YEAR_1).all() else None
 
 
 def _preview(ids: Sequence[str], limit: int = 5) -> str:

@@ -318,26 +318,30 @@ def reference_buckets(path, weeks):
     return bucket_weekly(ingest(path, weeks_range(weeks)), FIRST_END, weeks)
 
 
+def ids(corpus):
+    return [corpus.id(r) for r in range(len(corpus))]
+
+
 def assert_holds_buckets(corpus, reference):
     """The corpus holds what the reference buckets hold: each row's week,
     POSIX second and author, the weekly totals and end dates, and the same
     tokens in the same (timestamp, id) order for all rows and for a subset
     given in reverse."""
     everything = [tm for b in reference for tm in b.messages]
-    assert dict(zip(corpus.ids, corpus.week.tolist())) == {
+    assert dict(zip(ids(corpus), corpus.week.tolist())) == {
         tm.message.id: b.week_index for b in reference for tm in b.messages
     }
-    assert dict(zip(corpus.ids, corpus.seconds.tolist())) == {
+    assert dict(zip(ids(corpus), corpus.seconds.tolist())) == {
         tm.message.id: int(tm.message.timestamp.timestamp()) for tm in everything
     }
-    assert {corpus.ids[r]: corpus.author(r) for r in range(len(corpus))} == {
+    assert {corpus.id(r): corpus.author(r) for r in range(len(corpus))} == {
         tm.message.id: tm.message.author for tm in everything
     }
     assert corpus.totals() == [len(b.messages) for b in reference]
     assert corpus.end_dates() == [b.end_date for b in reference]
     assert corpus.tokens(range(len(corpus))) == [list(tm.tokens) for tm in everything]
     some = list(range(len(corpus)))[::-2]
-    wanted = {corpus.ids[r] for r in some}
+    wanted = {corpus.id(r) for r in some}
     assert corpus.tokens(some) == [list(tm.tokens) for tm in everything if tm.message.id in wanted]
 
 
@@ -367,12 +371,14 @@ def test_load_corpus_tokens_equal_tokenize(texts):
         p = Path(tmp) / "msgs.jsonl"
         write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])
         corpus = load_corpus(p, FIRST_END, 1)
-    assert corpus.ids == [f"m{i}" for i in range(len(texts))]
-    # Each row's normalized text, between its offset and the next row's "\n".
-    bounds = corpus.starts.tolist()
-    assert [corpus.normalized[a : b - 1] for a, b in zip(bounds, bounds[1:])] == [
-        normalize(t) for t in texts
-    ]
+    assert ids(corpus) == [f"m{i}" for i in range(len(texts))]
+    # Each row's normalized text, in its block between its offset and the
+    # next row's "\n".
+    assert [
+        block.normalized[a : b - 1]
+        for block in corpus.blocks
+        for a, b in zip(block.starts.tolist(), block.starts.tolist()[1:])
+    ] == [normalize(t) for t in texts]
     # One timestamp, so (timestamp, id) order is file order.
     assert corpus.tokens(range(len(texts))) == [tokenize(t) for t in texts]
 
@@ -399,9 +405,10 @@ def test_match_rows_equals_matches(texts, base, required, excluded):
     with tempfile.TemporaryDirectory() as tmp:
         p = Path(tmp) / "msgs.jsonl"
         write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])
-        corpus = load_corpus(p, FIRST_END, 1)
+        corpora = [load_in_chunks(size, p, FIRST_END, 1) for size in CHUNK_SIZES]
     expected = [matches(query, tmsg(t, id=f"m{i}")) for i, t in enumerate(texts)]
-    assert match_rows(query, corpus).tolist() == expected, query.render()
+    for corpus in corpora:  # one block, and one block per row or a few rows
+        assert match_rows(query, corpus).tolist() == expected, query.render()
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,7 +452,7 @@ def test_load_corpus_accepts_lines_in_other_layouts(tmp_path):
             reference = reference_buckets(p, 2)
             for size in CHUNK_SIZES:
                 corpus = load_in_chunks(size, p, FIRST_END, 2)
-                assert corpus.ids == ["a", "b", "c", "d", "e", "h"], (ending, last, size)
+                assert ids(corpus) == ["a", "b", "c", "d", "e", "h"], (ending, last, size)
                 assert_holds_buckets(corpus, reference)
 
 
@@ -525,6 +532,53 @@ def test_load_corpus_rejects_what_ingest_rejects(tmp_path, lines):
         with pytest.raises(CorpusError) as columnar:
             load_in_chunks(size, p, FIRST_END, 2)
         assert str(columnar.value) == str(reference.value)
+
+
+def collide(_):
+    return 0
+
+
+def columns(corpus):
+    rows = range(len(corpus))
+    return (ids(corpus), corpus.seconds.tolist(), corpus.week.tolist(),
+            [corpus.author(r) for r in rows], corpus.tokens(rows))
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_load_corpus_reads_again_when_id_hashes_collide(tmp_path, size):
+    # Every id hashes alike, so load_corpus asks ingest whether two ids
+    # are equal; with distinct ids it returns and the load goes on.
+    p = tmp_path / "msgs.jsonl"
+    write_jsonl(p, [
+        rec("a", "2009-09-02T00:00:00Z", text="plain flu", author="news"),
+        rec("b", "2008-01-01T00:00:00Z", text="outside the weeks"),
+        rec("c", "2009-09-01T00:00:00Z", text="caf\u00e9 \U0001F600 flu", author="\u00e9"),
+        rec("ab", "2009-09-10T00:00:00Z", text="the last line", author=""),
+    ])
+    with mock.patch.object(corpus_module, "ingest", wraps=ingest) as reread:
+        expected = load_in_chunks(size, p, FIRST_END, 2)
+        assert not reread.called
+        with mock.patch.object(corpus_module, "_id_hash", collide):
+            assert columns(load_in_chunks(size, p, FIRST_END, 2)) == columns(expected)
+        assert reread.call_count == 1
+    assert ids(expected) == ["a", "c", "ab"]
+
+
+DUPLICATE_IDS = {name: lines for name, lines in BAD_CORPORA.items() if "duplicate" in name}
+
+
+@pytest.mark.parametrize("lines", DUPLICATE_IDS.values(), ids=DUPLICATE_IDS.keys())
+def test_load_corpus_rejects_a_duplicate_id_when_every_hash_collides(tmp_path, lines):
+    p = tmp_path / "msgs.jsonl"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    both_lines = r"line \d+: duplicate message id .* \(first seen on line \d+\)"
+    with pytest.raises(CorpusError, match=both_lines) as reference:
+        ingest(p, weeks_range(2))
+    with mock.patch.object(corpus_module, "_id_hash", collide):
+        for size in CHUNK_SIZES:
+            with pytest.raises(CorpusError) as columnar:
+                load_in_chunks(size, p, FIRST_END, 2)
+            assert str(columnar.value) == str(reference.value)
 
 
 @pytest.mark.parametrize(

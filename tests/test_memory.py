@@ -8,6 +8,7 @@ and the read path holds only the columns of the rows it keeps, with no
 per-row text.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,12 +28,15 @@ _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 # Extra peak memory over the messages file's size, per command. On a 9.4
-# MiB file (8 weeks x 9000 messages) the extra is 3.1x for synth, 2.6x for
-# fraction and 2.7x for simulate --train here. It was 6.6x and 5.7x for
-# synth and fraction when both held the whole file in memory, and 3.6x for
-# fraction and 4.2x for simulate while the corpus kept every text and one
-# author string per row.
-BOUNDS = {"synth": 4.5, "fraction": 3.1, "simulate": 3.4}
+# MiB file (8 weeks x 9000 messages) the extra is 3.1x for synth, 1.9x for
+# fraction and 2.1x for simulate --train here, and 2.1x and 2.3x with one
+# astral-plane character appended. It was 6.6x and 5.7x for synth and
+# fraction when both held the whole file in memory, 3.6x for fraction and
+# 4.2x for simulate while the corpus kept every text and one author string
+# per row, and 2.5x and 2.8x (3.7x and 3.8x with the astral character)
+# while it joined each column across the whole file and kept one id
+# string per row.
+BOUNDS = {"synth": 4.5, "fraction": 2.4, "simulate": 2.7}
 
 
 def peak_mib(*args: str) -> float:
@@ -59,29 +63,53 @@ def synth_run(tmp_path_factory):
     return base, synth, out
 
 
-def assert_under_bound(base, peaks, out):
-    size = (out / "messages.jsonl").stat().st_size / 2**20
+def assert_under_bound(base, peaks, messages):
+    size = messages.stat().st_size / 2**20
     extra = {command: (mib - base) / size for command, mib in peaks.items()}
     assert all(extra[command] < BOUNDS[command] for command in peaks), (
         f"extra memory per MiB of a {size:.1f} MiB file: {extra}; bounds {BOUNDS}"
     )
 
 
+def fraction_peak(messages, out):
+    return peak_mib(
+        "-m", "ilitrack.cli", "fraction", "--messages", str(messages),
+        "--ili", str(out / "ili.csv"), "--query", "flu cough", "--seed", "0",
+        "--train-weeks", "1:4", "--eval-weeks", "5:8",
+        "--out", str(out / f"fraction-{messages.stem}"),
+    )
+
+
+def simulate_peak(messages, out):
+    return peak_mib(
+        "-m", "ilitrack.cli", "simulate", "--messages", str(messages),
+        "--ili", str(out / "ili.csv"), "--train", str(out / "labeled.jsonl"), "--seed", "0",
+        "--out", str(out / f"simulate-{messages.stem}"),
+    )
+
+
 def test_synth_and_fraction_memory_stays_under_a_multiple_of_the_file(synth_run):
     base, synth, out = synth_run
-    fraction = peak_mib(
-        "-m", "ilitrack.cli", "fraction", "--messages", str(out / "messages.jsonl"),
-        "--ili", str(out / "ili.csv"), "--query", "flu cough", "--seed", "0",
-        "--train-weeks", "1:4", "--eval-weeks", "5:8", "--out", str(out / "fraction"),
-    )
-    assert_under_bound(base, {"synth": synth, "fraction": fraction}, out)
+    messages = out / "messages.jsonl"
+    assert_under_bound(base, {"synth": synth, "fraction": fraction_peak(messages, out)}, messages)
 
 
 def test_simulate_memory_stays_under_a_multiple_of_the_file(synth_run):
     base, _, out = synth_run
-    simulate = peak_mib(
-        "-m", "ilitrack.cli", "simulate", "--messages", str(out / "messages.jsonl"),
-        "--ili", str(out / "ili.csv"), "--train", str(out / "labeled.jsonl"), "--seed", "0",
-        "--out", str(out / "simulate"),
-    )
-    assert_under_bound(base, {"simulate": simulate}, out)
+    messages = out / "messages.jsonl"
+    assert_under_bound(base, {"simulate": simulate_peak(messages, out)}, messages)
+
+
+def test_one_astral_character_keeps_memory_under_the_bounds(synth_run):
+    # A str stores every character at the width of its widest one, so one
+    # emoji in a column that spans the file would make all of it 4 bytes
+    # per character.
+    base, _, out = synth_run
+    text = (out / "messages.jsonl").read_text(encoding="utf-8")
+    first = json.loads(text[: text.index("\n")])
+    record = {"id": "astral", "timestamp": first["timestamp"], "author": "a",
+              "text": "flu \U0001F600"}
+    messages = out / "astral.jsonl"
+    messages.write_text(text + json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    peaks = {"fraction": fraction_peak(messages, out), "simulate": simulate_peak(messages, out)}
+    assert_under_bound(base, peaks, messages)

@@ -439,7 +439,7 @@ def test_columnar_matching_agrees_with_matches(query, weeks_of_texts):
         write_weeks(p, weeks_of_texts)
         corpus = load_corpus(p, SAT1, 3)
         buckets = reference_buckets(p, 3)
-    rows = dict(zip(corpus.ids, match_rows(query, corpus).tolist()))
+    rows = {corpus.id(r): hit for r, hit in enumerate(match_rows(query, corpus).tolist())}
     for b in buckets:
         for tm in b.messages:
             assert rows[tm.message.id] == matches(query, tm), (tm.tokens, query.render())

@@ -205,9 +205,12 @@ def test_columnar_paths_agree_with_the_oracles(rows, author_markers, text_marker
                 corpus = load_corpus(p, first_end, weeks)
             tokens = corpus.tokens(range(len(corpus)))
             assert tokens == [list(tm.tokens) for tm in messages]
-            assert {corpus.ids[r]: corpus.author(r) for r in range(len(corpus))} == {
-                tm.message.id: tm.message.author for tm in messages
-            }
+            # Rows in file order, each with its record's id and author.
+            kept = {tm.message.id: tm.message.author for tm in messages}
+            assert [(corpus.id(r), corpus.author(r)) for r in range(len(corpus))] == [
+                (record_id, kept[record_id])
+                for record_id in (f"m{i}" for i in range(len(rows))) if record_id in kept
+            ]
             # Bit for bit: the same sums in the same order.
             assert [score_tokens(classifier, t).hex() for t in tokens] == [
                 predict_proba(classifier, tm).hex() for tm in messages
