@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import bisect
 import gc
+import itertools
 import json
 import logging
 import math
+import os
 import re
 import sys
 import time
@@ -254,7 +256,15 @@ def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
     start, end = date_range
     if start > end:
         raise CorpusError(f"date range start {start} is after end {end}")
-    messages: list[Message] = []
+    messages = [msg for msg in _checked(path) if start <= msg.timestamp.date() <= end]
+    messages.sort(key=lambda m: (m.timestamp, m.id))
+    return messages
+
+
+def _checked(path: str | Path) -> Iterator[Message]:
+    """Each message of a JSONL file in file order. A malformed line, or an
+    id an earlier line holds, raises CorpusError naming the line. Only the
+    line number of each id is kept."""
     seen: dict[str, int] = {}
     for line_no, record in read_records(path, CorpusError):
         msg = message_from_record(record, line_no)
@@ -264,10 +274,7 @@ def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
                 f"(first seen on line {seen[msg.id]})"
             )
         seen[msg.id] = line_no
-        if start <= msg.timestamp.date() <= end:
-            messages.append(msg)
-    messages.sort(key=lambda m: (m.timestamp, m.id))
-    return messages
+        yield msg
 
 
 def _check_week_grid(first_week_end: date, weeks: int | None) -> None:
@@ -478,38 +485,46 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
 
     The file is read _CHUNK_CHARS characters at a time, each chunk ending
     at the end of a line, and the rows each chunk keeps become one Block,
-    so only the columns of the rows kept grow with the file. In each chunk,
-    lines in the layout messages_jsonl writes are read by one regular
-    expression and checked column by column, other lines are decoded one by
-    one, rows outside the weeks are dropped and each text is normalized
-    once; the text itself is not kept. Ids must be unique across every row
-    read, dropped rows too; only the hash of each is kept. When any check
-    fails, or two hashes are equal, ingest reads the file again to raise
-    its error, which names the first bad line; it returns when only the
-    hashes collide. No text is tokenized here: a query finds its rows in
-    the normalized text (Corpus.rows_with), and scoring tokenizes only the
-    rows it scores (Corpus.tokens).
+    so only the columns of the rows kept grow with the file. The chunks are
+    dealt out in turn to up to _SHARES processes (_read_rows), one when the
+    file fits in one chunk. In each chunk, lines in the layout
+    messages_jsonl writes are read by one regular expression and checked
+    column by column, other lines are decoded one by one, rows outside the
+    weeks are dropped and each text is normalized once; the text itself is
+    not kept. Ids must be unique across every row read, dropped rows too;
+    only the hash of each is kept. When any check fails, or two hashes are
+    equal, a check-only pass over the file (_checked, as ingest reads it)
+    raises ingest's error, which names the first bad line; it keeps no
+    message, and the file is read again when only the hashes collide. No
+    text is tokenized here: a query finds its rows in the normalized text
+    (Corpus.rows_with), and scoring tokenizes only the rows it scores
+    (Corpus.tokens).
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
     start = first_week_end - timedelta(days=6)
     end = first_week_end + timedelta(days=7 * (weeks - 1))
-    read = _read_rows(path, start, end)
-    if read is None:
-        ingest(path, (start, end))  # raises, naming the first bad line
-        raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
+    shares = max(1, min(_SHARES, math.ceil(os.path.getsize(path) / _CHUNK_CHARS)))
+    read = _read_rows(path, start, end, shares)
+    if read is None or (read[0][1:] == read[0][:-1]).any():
+        rejected = read is None
+        del read  # the columns go first: the check-only pass keeps one line number per id
+        for _ in _checked(path):  # raises, naming the first bad line
+            pass
+        if rejected:
+            raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
+        read = _read_rows(path, start, end, shares)  # only two hashes were equal
     hashes, seconds, blocks = read
-    if (hashes[1:] == hashes[:-1]).any():
-        ingest(path, (start, end))  # raises if two ids are equal, not only their hashes
     days = seconds // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal()
     row0 = tuple(np.cumsum([0, *(len(b.starts) - 1 for b in blocks)])[:-1].tolist())
     corpus = Corpus(first_week_end, weeks, seconds, (days + 6) // 7 + 1, row0, tuple(blocks))
     sizes = [sum(sys.getsizeof(getattr(b, name)) for b in blocks)
              for name in ("normalized", "authors", "ids")]
     log.info(
-        "load_corpus %s: %d rows read, %d kept in weeks 1..%d, %d blocks holding "
-        "%d normalized, %d author and %d id bytes, %.3f s",
-        path, len(hashes), len(corpus), weeks, len(blocks), *sizes, time.perf_counter() - began,
+        "load_corpus %s: %d rows read by %d process(es), %d kept in weeks 1..%d, %d blocks "
+        "holding %d normalized, %d author and %d id bytes, %.3f s",
+        path, len(hashes), shares, len(corpus), weeks, len(blocks), *sizes,
+        time.perf_counter() - began,
     )
     _warn_empty(corpus.totals())
     return corpus
@@ -520,6 +535,12 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
 _CHUNK_CHARS = 1 << 20
 # load_corpus checks that ids are unique by their values under this.
 _id_hash = hash
+# load_corpus deals a file's chunks out to at most this many processes:
+# the CPUs it may run on. Where the system does not say (macOS, Windows,
+# where multiprocessing does not fork by default), one process reads.
+_SHARES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# What a process reading a share sends after its last chunk.
+_END = "end of share"
 
 
 def _chunks(path: str | Path) -> Iterator[str]:
@@ -534,36 +555,106 @@ def _chunks(path: str | Path) -> Iterator[str]:
 
 @_collector_paused()
 def _read_rows(
-    path: str | Path, start: date, end: date
+    path: str | Path, start: date, end: date, shares: int
 ) -> tuple[np.ndarray, np.ndarray, list[Block]] | None:
     """The sorted _id_hash of the id of every row read, and the POSIX
     seconds and the Blocks of the rows dated start..end; or None when some
-    record is one that ingest rejects."""
-    hashes: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    seconds: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    blocks: list[Block] = []
+    record is one that ingest rejects.
+
+    shares processes read the file: this one reads share 0 and shares - 1
+    forked children read the others (_read_share), each opening the file
+    itself and sending back what it read one chunk at a time. The children
+    are forked, never spawned: the id hashes of every share are compared
+    with each other, and only a forked child keeps this process's hash
+    secret, so that hash(str) gives the same value in every share. A child
+    that exits before sending _END ends its pipe, and ChildProcessError
+    names its exit code."""
+    if shares > 1:
+        import multiprocessing  # imported here: it adds about 16 ms to start-up
+
+        context = multiprocessing.get_context("fork")
+    children = []
     try:
-        for chunk in _chunks(path):
+        for share in range(1, shares):
+            reader, writer = context.Pipe(duplex=False)
+            args = (writer, path, start, end, share, shares)
+            process = context.Process(target=_send_share, args=args, daemon=True)
+            process.start()
+            children.append((process, reader))
+            writer.close()  # only the child holds it now
+        read = [list(_read_share(path, start, end, 0, shares))]
+        for share, (process, reader) in enumerate(children, start=1):
+            if None in read[-1]:
+                break
+            read.append([])
+            try:
+                while (piece := reader.recv()) != _END:
+                    read[-1].append(piece)
+            except (EOFError, OSError):
+                process.join()
+                raise ChildProcessError(
+                    f"{path}: the process reading share {share} of the file exited with "
+                    f"code {process.exitcode} before sending all of it"
+                ) from None
+    finally:
+        for process, reader in children:
+            process.terminate()
+            process.join()
+            reader.close()
+    if None in read[-1]:
+        return None
+    # Chunk i of the file is piece i // shares of share i % shares.
+    pieces = [read[i % shares][i // shares] for i in range(sum(map(len, read)))]
+    del read
+    hashes = np.sort(np.concatenate([np.zeros(0, np.int64), *(p[0] for p in pieces)]))
+    seconds = np.concatenate([np.zeros(0, np.int64), *(p[1] for p in pieces)])
+    return hashes, seconds, [p[2] for p in pieces if p[2] is not None]
+
+
+def _read_share(
+    path: str | Path, start: date, end: date, share: int, shares: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, Block | None] | None]:
+    """For each chunk k of the file with k % shares == share, in order: the
+    _id_hash of the id of every row it holds, and the POSIX seconds and the
+    Block (None if there are none) of its rows dated start..end. Yields None
+    and stops at a chunk holding a record that ingest rejects."""
+    try:
+        for chunk in itertools.islice(_chunks(path), share, None, shares):
             columns = _read_columns(chunk)
             if columns is None:
-                return None
-            ids, chunk_seconds, authors, texts = columns
-            hashes.append(np.fromiter(map(_id_hash, ids), np.int64, count=len(ids)))
-            ordinal = chunk_seconds // 86400 + _EPOCH_ORDINAL
+                yield None
+                return
+            ids, seconds, authors, texts = columns
+            hashes = np.fromiter(map(_id_hash, ids), np.int64, count=len(ids))
+            ordinal = seconds // 86400 + _EPOCH_ORDINAL
             inside = (ordinal >= start.toordinal()) & (ordinal <= end.toordinal())
             if not inside.all():
                 keep = np.flatnonzero(inside).tolist()
                 ids, authors, texts = ([col[r] for r in keep] for col in (ids, authors, texts))
-                chunk_seconds = chunk_seconds[inside]
+                seconds = seconds[inside]
             if not ids:
+                yield hashes, seconds, None
                 continue
             # Each text normalized on its own: str.lower maps Σ by its neighbours.
             normalized = _joined(list(map(normalize, texts)), "\n")
-            blocks.append(Block(*normalized, *_joined(authors), *_joined(ids)))
-            seconds.append(chunk_seconds)
+            yield hashes, seconds, Block(*normalized, *_joined(authors), *_joined(ids))
     except UnicodeDecodeError:
-        return None  # ingest re-reads the file and names the line
-    return np.sort(np.concatenate(hashes)), np.concatenate(seconds), blocks
+        yield None  # the check-only pass names the line
+
+
+def _send_share(writer, path: str | Path, start: date, end: date, share: int, shares: int):
+    """In a forked child: send each piece of a share as it is read, then
+    _END. One thread sends while this one reads on, so a parent still busy
+    with its own share never holds this one up. A piece that cannot be sent
+    raises, and _END is never sent."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as sender:
+        pieces = _read_share(path, start, end, share, shares)
+        sent = [sender.submit(writer.send, piece) for piece in pieces]
+    for future in sent:
+        future.result()
+    writer.send(_END)
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()

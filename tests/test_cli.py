@@ -159,6 +159,18 @@ def test_fraction_plain(work, tmp_path, capsys):
     assert est_lines[-1].startswith("# eval_pearson_logit=")
 
 
+def test_importing_the_cli_imports_no_process_machinery():
+    # load_corpus imports multiprocessing only when it forks; importing it
+    # with the CLI would add about 16 ms to every command's start-up.
+    probe = ("import sys, ilitrack.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('multiprocessing', 'concurrent'))))")
+    found = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ilitrack.__file__).parents[1])},
+    )
+    assert found.stdout == "[]\n"
+
+
 def test_fraction_verbose_logs_load_and_match_on_stderr_only(work, tmp_path):
     # A child process: logging.basicConfig does nothing under pytest's own
     # log handlers, so only a fresh interpreter shows what -v prints.
@@ -176,8 +188,9 @@ def test_fraction_verbose_logs_load_and_match_on_stderr_only(work, tmp_path):
     verbose = fraction("-v", out=tmp_path / "verbose")
     assert quiet.stderr == ""
     assert re.search(
-        r"^INFO ilitrack\.corpus: load_corpus \S+: 1500 rows read, 1500 kept in weeks "
-        r"1\.\.6, 1 blocks holding \d+ normalized, \d+ author and \d+ id bytes, [0-9.]+ s$",
+        r"^INFO ilitrack\.corpus: load_corpus \S+: 1500 rows read by 1 process\(es\), 1500 kept "
+        r"in weeks 1\.\.6, 1 blocks holding \d+ normalized, \d+ author and \d+ id bytes, "
+        r"[0-9.]+ s$",
         verbose.stderr, re.MULTILINE,
     ), verbose.stderr
     matched = sum(

@@ -1,6 +1,8 @@
 """Tokenizer, ingestion, and weekly bucketing."""
 
 import json
+import os
+import signal
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -302,11 +304,18 @@ def test_tokenize_message_preserves_message():
 # load_corpus's chunk size, and sizes so small that every row sits on a
 # chunk boundary.
 CHUNK_SIZES = (corpus_module._CHUNK_CHARS, 1, 37)
+# Each chunk size read by one process, and the default and 37-character
+# chunks also dealt out to two. The hypothesis tests read in one process
+# only: forking for every example would take most of their time, and more
+# processes change no column
+# (test_load_corpus_reads_alike_in_any_number_of_processes).
+READS = [*((size, 1) for size in CHUNK_SIZES), (corpus_module._CHUNK_CHARS, 2), (37, 2)]
 
 
-def load_in_chunks(size, path, first_week_end, weeks):
-    """load_corpus reading chunks of size characters."""
-    with mock.patch.object(corpus_module, "_CHUNK_CHARS", size):
+def load_in_chunks(size, path, first_week_end, weeks, shares=1):
+    """load_corpus reading chunks of size characters in up to shares
+    processes."""
+    with mock.patch.multiple(corpus_module, _CHUNK_CHARS=size, _SHARES=shares):
         return load_corpus(path, first_week_end, weeks)
 
 
@@ -450,10 +459,70 @@ def test_load_corpus_accepts_lines_in_other_layouts(tmp_path):
         for last in (ending, ""):
             p.write_bytes((ending.join(lines) + last).encode("utf-8"))
             reference = reference_buckets(p, 2)
-            for size in CHUNK_SIZES:
-                corpus = load_in_chunks(size, p, FIRST_END, 2)
-                assert ids(corpus) == ["a", "b", "c", "d", "e", "h"], (ending, last, size)
+            for size, shares in READS:
+                corpus = load_in_chunks(size, p, FIRST_END, 2, shares)
+                assert ids(corpus) == ["a", "b", "c", "d", "e", "h"], (ending, last, size, shares)
                 assert_holds_buckets(corpus, reference)
+
+
+def test_load_corpus_reads_alike_in_any_number_of_processes(tmp_path, caplog):
+    # Lines in both layouts, some dated outside the weeks, some with
+    # characters stored in 2 or 4 bytes: three chunks at the default size,
+    # and the first 100 lines, a chunk each, at the small sizes.
+    texts = ["x", "Flu \u0391\u03a3 caf\u00e9", "see https://x.y/_a now", "flu \U0001F600",
+             "i've a_b"]
+    lines = []
+    for i in range(2400):
+        stamp = datetime(2009, 8, 27, tzinfo=timezone.utc) + timedelta(hours=7 * i % 500)
+        record = rec(f"m{i}", stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                     text=texts[i % len(texts)] + " x" * 400, author="\u00e9" if i % 4 else "news")
+        lines.append(json.dumps(record, ensure_ascii=i % 3 == 0) + "\n")
+    files = {size: tmp_path / f"msgs-{size}.jsonl" for size in CHUNK_SIZES}
+    for size, p in files.items():
+        p.write_text("".join(lines if size == corpus_module._CHUNK_CHARS else lines[:100]),
+                     encoding="utf-8")
+
+    def read(size, shares):
+        caplog.clear()
+        with caplog.at_level("INFO", logger="ilitrack.corpus"):
+            corpus = load_in_chunks(size, files[size], FIRST_END, 2, shares)
+        assert f"read by {shares} process(es)" in caplog.text
+        return corpus.seconds.tolist(), corpus.week.tolist(), corpus.row0, [
+            (b.normalized, b.starts.tolist(), b.authors, b.author_starts.tolist(),
+             b.ids, b.id_starts.tolist())
+            for b in corpus.blocks
+        ]
+
+    for size in CHUNK_SIZES:
+        serial = read(size, 1)
+        assert len(serial[3]) > 2
+        for shares in (2, 3):
+            assert read(size, shares) == serial, (size, shares)
+
+
+def test_load_corpus_names_the_exit_code_of_a_reader_that_dies(tmp_path):
+    p = tmp_path / "msgs.jsonl"
+    write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z") for i in range(20)])
+    read_share = corpus_module._read_share
+
+    def dies(path, start, end, share, shares):
+        if share:
+            os._exit(3)
+        return read_share(path, start, end, share, shares)
+
+    def give_up(signum, frame):
+        raise TimeoutError("load_corpus still waits for a reader that died")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(20)
+    try:
+        with mock.patch.object(corpus_module, "_read_share", dies), pytest.raises(
+            ChildProcessError, match=r"msgs.jsonl: the process reading share 1 .* code 3 "
+        ):
+            load_in_chunks(37, p, FIRST_END, 1, shares=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,10 +597,10 @@ def test_load_corpus_rejects_what_ingest_rejects(tmp_path, lines):
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError) as reference:
         ingest(p, weeks_range(2))
-    for size in CHUNK_SIZES:
+    for size, shares in READS:
         with pytest.raises(CorpusError) as columnar:
-            load_in_chunks(size, p, FIRST_END, 2)
-        assert str(columnar.value) == str(reference.value)
+            load_in_chunks(size, p, FIRST_END, 2, shares)
+        assert str(columnar.value) == str(reference.value), (size, shares)
 
 
 def collide(_):
@@ -546,8 +615,8 @@ def columns(corpus):
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_load_corpus_reads_again_when_id_hashes_collide(tmp_path, size):
-    # Every id hashes alike, so load_corpus asks ingest whether two ids
-    # are equal; with distinct ids it returns and the load goes on.
+    # Every id hashes alike, so load_corpus's check-only pass asks whether
+    # two ids are equal; with distinct ids it ends and the load goes on.
     p = tmp_path / "msgs.jsonl"
     write_jsonl(p, [
         rec("a", "2009-09-02T00:00:00Z", text="plain flu", author="news"),
@@ -555,12 +624,14 @@ def test_load_corpus_reads_again_when_id_hashes_collide(tmp_path, size):
         rec("c", "2009-09-01T00:00:00Z", text="caf\u00e9 \U0001F600 flu", author="\u00e9"),
         rec("ab", "2009-09-10T00:00:00Z", text="the last line", author=""),
     ])
-    with mock.patch.object(corpus_module, "ingest", wraps=ingest) as reread:
+    checked = corpus_module._checked
+    with mock.patch.object(corpus_module, "_checked", wraps=checked) as reread:
         expected = load_in_chunks(size, p, FIRST_END, 2)
         assert not reread.called
         with mock.patch.object(corpus_module, "_id_hash", collide):
-            assert columns(load_in_chunks(size, p, FIRST_END, 2)) == columns(expected)
-        assert reread.call_count == 1
+            for shares in (1, 2):
+                assert columns(load_in_chunks(size, p, FIRST_END, 2, shares)) == columns(expected)
+        assert reread.call_count == 2
     assert ids(expected) == ["a", "c", "ab"]
 
 
@@ -575,10 +646,10 @@ def test_load_corpus_rejects_a_duplicate_id_when_every_hash_collides(tmp_path, l
     with pytest.raises(CorpusError, match=both_lines) as reference:
         ingest(p, weeks_range(2))
     with mock.patch.object(corpus_module, "_id_hash", collide):
-        for size in CHUNK_SIZES:
+        for size, shares in READS:
             with pytest.raises(CorpusError) as columnar:
-                load_in_chunks(size, p, FIRST_END, 2)
-            assert str(columnar.value) == str(reference.value)
+                load_in_chunks(size, p, FIRST_END, 2, shares)
+            assert str(columnar.value) == str(reference.value), (size, shares)
 
 
 @pytest.mark.parametrize(
@@ -598,9 +669,9 @@ def test_load_corpus_and_ingest_name_the_line_that_is_not_utf8(tmp_path, raw, li
     complaint = rf"msgs.jsonl: line {line}: not valid UTF-8"
     with pytest.raises(CorpusError, match=complaint):
         ingest(p, weeks_range(2))
-    for size in CHUNK_SIZES:
+    for size, shares in READS:
         with pytest.raises(CorpusError, match=complaint):
-            load_in_chunks(size, p, FIRST_END, 2)
+            load_in_chunks(size, p, FIRST_END, 2, shares)
 
 
 def test_load_ili_csv_names_the_line_that_is_not_utf8(tmp_path):

@@ -102,8 +102,10 @@ def test_run_trees_match_golden(tmp_path, monkeypatch):
     got = run_all()
     assert not differing(expected, got), f"files that differ: {differing(expected, got)}"
     # The corpus read in chunks of a few characters, so that every row
-    # sits on a chunk boundary, gives the same outputs.
+    # sits on a chunk boundary, and dealt out to two processes, gives the
+    # same outputs.
     monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", 37)
+    monkeypatch.setattr(corpus_module, "_SHARES", 2)
     for name, argv in corpus_runs("hicard").items():
         if "fraction-soft" in name or "simulate-default" in name:
             small = run(f"{name}-small-chunks", argv)

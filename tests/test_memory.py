@@ -35,18 +35,24 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 # 4.2x for simulate while the corpus kept every text and one author string
 # per row, and 2.5x and 2.8x (3.7x and 3.8x with the astral character)
 # while it joined each column across the whole file and kept one id
-# string per row.
+# string per row. With a duplicate of line 1 appended, fraction's extra is
+# 2.0x; it was 3.9x while the error was found by building one Message per
+# line.
 BOUNDS = {"synth": 4.5, "fraction": 2.4, "simulate": 2.7}
 
 
-def peak_mib(*args: str) -> float:
+def peak_mib(*args: str, code: int = 0, stderr: str = "") -> float:
+    """The command's peak in MiB. It must exit with code, and its stderr
+    must be stderr."""
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
+    run = subprocess.run(
         [sys.executable, "-c", LAUNCHER, sys.executable, *args],
         capture_output=True, text=True, env=env, check=True,
-    ).stdout.split()
-    assert out[0] == "0", f"{args}: exit {out[0]}"
+    )
+    out = run.stdout.split()
+    assert out[0] == str(code), f"{args}: exit {out[0]}"
+    assert run.stderr == stderr
     return int(out[1]) / 1024
 
 
@@ -71,12 +77,12 @@ def assert_under_bound(base, peaks, messages):
     )
 
 
-def fraction_peak(messages, out):
+def fraction_peak(messages, out, **expected):
     return peak_mib(
         "-m", "ilitrack.cli", "fraction", "--messages", str(messages),
         "--ili", str(out / "ili.csv"), "--query", "flu cough", "--seed", "0",
         "--train-weeks", "1:4", "--eval-weeks", "5:8",
-        "--out", str(out / f"fraction-{messages.stem}"),
+        "--out", str(out / f"fraction-{messages.stem}"), **expected,
     )
 
 
@@ -113,3 +119,17 @@ def test_one_astral_character_keeps_memory_under_the_bounds(synth_run):
     messages.write_text(text + json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
     peaks = {"fraction": fraction_peak(messages, out), "simulate": simulate_peak(messages, out)}
     assert_under_bound(base, peaks, messages)
+
+
+def test_a_duplicate_id_is_named_without_one_message_per_line(synth_run):
+    # Only a check-only pass over the file names the line, keeping one line
+    # number per id, not one Message per line.
+    base, _, out = synth_run
+    text = (out / "messages.jsonl").read_text(encoding="utf-8")
+    first = text[: text.index("\n") + 1]
+    messages = out / "duplicate.jsonl"
+    messages.write_text(text + first, encoding="utf-8")
+    error = (f"error: line {text.count(chr(10)) + 1}: duplicate message id "
+             f"{json.loads(first)['id']!r} (first seen on line 1)\n")
+    peak = fraction_peak(messages, out, code=1, stderr=error)
+    assert_under_bound(base, {"fraction": peak}, messages)

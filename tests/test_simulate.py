@@ -200,8 +200,11 @@ def test_columnar_paths_agree_with_the_oracles(rows, author_markers, text_marker
         expected_pool = pool_or_error(
             lambda: build_spurious_pool(messages, author_markers, text_markers)
         )
+        # One process reads: forking for every example would take most of
+        # the test's time, and more processes change no column
+        # (test_load_corpus_reads_alike_in_any_number_of_processes).
         for size in (corpus_module._CHUNK_CHARS, 37, 1):
-            with mock.patch.object(corpus_module, "_CHUNK_CHARS", size):
+            with mock.patch.multiple(corpus_module, _CHUNK_CHARS=size, _SHARES=1):
                 corpus = load_corpus(p, first_end, weeks)
             tokens = corpus.tokens(range(len(corpus)))
             assert tokens == [list(tm.tokens) for tm in messages]
