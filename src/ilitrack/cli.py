@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
@@ -140,15 +141,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if args.noise_sd is not None:
             kwargs["noise_sd"] = args.noise_sd
         config = syn.SynthConfig(**kwargs)
+    began = time.perf_counter()
     corpus, truth = syn.generate_corpus(config)
+    generated = time.perf_counter()
     labeled = syn.generate_labeled(config, args.labeled_pos, args.labeled_neg)
+    labeled_at = time.perf_counter()
     out = _out_dir(args)
     _write(out / "messages.jsonl", corpus.jsonl())
+    written = time.perf_counter()
     _write(out / "ili.csv", syn.ili_csv(truth))
     _write(out / "truth.json", truth.to_json())
     _write(out / "labeled.jsonl", syn.labeled_jsonl(labeled))
     _write(out / "config.json", config.to_json())
     _write_run(out, "synth", _synth_argv(args))
+    log.info(
+        "synth: %d bytes written to messages.jsonl; generate_corpus %.3f s, "
+        "generate_labeled %.3f s, messages.jsonl %.3f s, other files %.3f s",
+        (out / "messages.jsonl").stat().st_size, generated - began, labeled_at - generated,
+        written - labeled_at, time.perf_counter() - written,
+    )
     print(
         f"wrote {len(corpus)} messages over {config.weeks} weeks, "
         f"{len(labeled)} labeled, to {out}"

@@ -758,6 +758,10 @@ def load_ili_csv(path: str | Path) -> list[tuple[date, float]]:
             )
         if end.weekday() != SATURDAY:
             raise CorpusError(f"ILI file line {line_no}: {end} is not a Saturday")
+        if end.toordinal() < 7:
+            raise CorpusError(
+                f"ILI file line {line_no}: the week ending {end} starts before {date.min}"
+            )
         if rows and (end - rows[-1][0]).days != 7:
             raise CorpusError(
                 f"ILI file line {line_no}: {end} does not follow {rows[-1][0]} by 7 days"

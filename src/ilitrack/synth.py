@@ -18,10 +18,12 @@ Matching messages are split into genuine self-reports and spurious matches
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta, timezone
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -32,6 +34,8 @@ from .corpus import Message, json_float, json_int, json_list, json_str, tokenize
 from .corpus import tokenize_message
 from .query import GATE_QUERY, matches
 from .regress import logit, sigmoid
+
+log = logging.getLogger(__name__)
 
 
 class SynthError(ValueError):
@@ -307,32 +311,36 @@ class SynthCorpus:
         week's lines at a time (a run of rows with the same week), so the
         whole file is never one string.
 
-        Each line is six pieces looked up in small tables: the week part of
-        the id, the ordinal, the date, the time of day, the author and the
-        text. Only distinct values are formatted or escaped.
+        Each line is seven pieces looked up in tables of strings formatted
+        and escaped once: the week part of the id, the ordinal, the date,
+        the hour, the minutes and seconds, the author and the text. A week's
+        rows index the tables into one (rows, 7) array, which is joined
+        into one string.
         """
-        day, second = np.divmod(self.seconds, 86400)
-        days, day = np.unique(day, return_inverse=True)
-        epoch = date(1970, 1, 1)
-        day_part = [
-            f'", "timestamp": "{epoch + timedelta(days=d)}T' for d in days.tolist()
+        first_day = int(self.seconds.min()) // 86400
+        days = int(self.seconds.max()) // 86400 - first_day + 1
+        first = date(1970, 1, 1) + timedelta(days=first_day)
+        escape = encode_basestring_ascii  # what json.dumps runs on a str
+        tables = [
+            [f'{{"id": "w{w + 1:02d}m' for w in range(int(self.week.max()) + 1)],
+            [f"{o:06d}" for o in range(int(self.ordinal.max()) + 1)],
+            [f'", "timestamp": "{first + timedelta(days=d)}T' for d in range(days)],
+            [f"{h:02d}:" for h in range(24)],
+            [f'{s // 60:02d}:{s % 60:02d}Z", "author": ' for s in range(3600)],
+            list(map(escape, self.authors)),
+            [f', "text": {escape(t)}}}\n' for t in self.texts],
         ]
-        second_part = [
-            f"{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}Z" for s in range(86400)
-        ]
-        week_part = [f'{{"id": "w{w + 1:02d}m' for w in range(int(self.week.max()) + 1)]
-        ordinal_part = [f"{o:06d}" for o in range(int(self.ordinal.max()) + 1)]
-        dumps = json.dumps
-        author_part = [f'", "author": {dumps(a)}, "text": ' for a in self.authors]
-        text_part = [f"{dumps(t)}}}\n" for t in self.texts]
-        columns = (self.week, self.ordinal, day, second, self.author, self.text)
+        tables = [np.array(table, dtype=object) for table in tables]
         cuts = [0, *(np.flatnonzero(np.diff(self.week)) + 1).tolist(), len(self)]
         for a, b in zip(cuts, cuts[1:]):
-            yield "".join([
-                f"{week_part[w]}{ordinal_part[o]}{day_part[d]}{second_part[s]}"
-                f"{author_part[au]}{text_part[t]}"
-                for w, o, d, s, au, t in zip(*(column[a:b].tolist() for column in columns))
-            ])
+            day, second = np.divmod(self.seconds[a:b], 86400)
+            hour, second = np.divmod(second, 3600)
+            columns = (self.week[a:b], self.ordinal[a:b], day - first_day, hour, second,
+                       self.author[a:b], self.text[a:b])
+            pieces = np.empty((b - a, len(tables)), dtype=object)
+            for k, (table, column) in enumerate(zip(tables, columns)):
+                pieces[:, k] = table[column]
+            yield "".join(pieces.ravel().tolist())
 
 
 def _slot_count(template: str) -> int:
@@ -399,6 +407,12 @@ def _validate_config(config: SynthConfig) -> None:
         raise SynthError("spurious_rate must be in [0, 1)")
     if config.first_week_end.weekday() != 5:
         raise SynthError(f"first_week_end {config.first_week_end} is not a Saturday")
+    last_week_ends = (date.max - config.first_week_end).days // 7 + 1
+    if config.first_week_end.toordinal() < 7 or config.weeks > last_week_ends:
+        raise SynthError(
+            f"{config.weeks} weeks ending on {config.first_week_end} onward do not fit "
+            f"between {date.min} and {date.max}"
+        )
     if config.true_beta1 == 0:
         raise SynthError("true_beta1 must be non-zero")
     _validate_templates(config)
@@ -411,6 +425,22 @@ def generate(config: SynthConfig) -> tuple[list[Message], SynthTruth]:
 
 
 _USERS = 100000  # authors user00000 .. user99999; author codes past them are news desks
+
+
+def _unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) for non-negative integers,
+    without sorting: a table flags the values present, and its running
+    count ranks them.
+
+    The table has values.max() + 1 entries of 9 bytes, so values must be
+    small: generate_corpus passes text keys below 15**3 per template
+    (about 1 MB for the default 32 templates) and author codes below
+    100,005 (0.9 MB).
+    """
+    present = np.zeros(int(values.max()) + 1, dtype=bool)
+    present[values] = True
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present).astype(values.dtype), rank[values]
 
 
 def generate_corpus(config: SynthConfig) -> tuple[SynthCorpus, SynthTruth]:
@@ -457,7 +487,15 @@ def generate_corpus(config: SynthConfig) -> tuple[SynthCorpus, SynthTruth]:
 
     epochs: list[int] = []
     end_dates: list[date] = []
-    draws: list[tuple[np.ndarray, ...]] = []
+    # Each draw is written into its column as it is made; the columns are
+    # narrower than the int64 draws, which keeps the same values and the
+    # same random stream (a dtype passed to rng.integers would change it).
+    rows = n_weeks * total
+    template = np.empty(rows, dtype=np.int32)
+    fillers = np.empty((rows, 3), dtype=np.int8)
+    author_idx = np.empty(rows, dtype=np.int32)
+    offsets = np.empty(rows, dtype=np.int32)
+    at = 0
     for w in range(n_weeks):
         end = config.first_week_end + timedelta(days=7 * w)
         end_dates.append(end)
@@ -470,18 +508,20 @@ def generate_corpus(config: SynthConfig) -> tuple[SynthCorpus, SynthTruth]:
             count = counts[g]
             if count == 0:
                 continue
-            tpl_idx = rng.integers(0, len(templates), size=count)
-            fillers = rng.integers(0, n_fill, size=(count, 3))
-            author_idx = rng.integers(0, _USERS, size=count)
-            offsets = rng.integers(0, _WEEK_SECONDS, size=count)
-            draws.append((tpl_idx + firsts[g], fillers, author_idx, offsets))
+            drawn = slice(at, at + count)
+            at += count
+            template[drawn] = rng.integers(0, len(templates), size=count) + firsts[g]
+            fillers[drawn] = rng.integers(0, n_fill, size=(count, 3))
+            author_idx[drawn] = rng.integers(0, _USERS, size=count)
+            offsets[drawn] = rng.integers(0, _WEEK_SECONDS, size=count)
 
-    template, fillers, author_idx, offsets = (
-        np.concatenate(column) for column in zip(*draws)
-    )
     fillers[np.arange(3) >= slots[template][:, None]] = 0
-    keys = ((template * n_fill + fillers[:, 0]) * n_fill + fillers[:, 1]) * n_fill + fillers[:, 2]
-    keys, text = np.unique(keys, return_inverse=True)
+    keys = template.astype(np.int64)
+    for column in fillers.T:
+        keys *= n_fill
+        keys += column
+    del fillers
+    keys, text = _unique_inverse(keys)
     texts = []
     for key in keys.tolist():
         key, f2 = divmod(key, n_fill)
@@ -493,14 +533,18 @@ def generate_corpus(config: SynthConfig) -> tuple[SynthCorpus, SynthTruth]:
     # News templates are posted by a news desk, the rest by users.
     news = is_news[template]
     author_idx[news] = _USERS + author_idx[news] % len(NEWS_AUTHORS)
-    author_codes, author = np.unique(author_idx, return_inverse=True)
+    author_codes, author = _unique_inverse(author_idx)
     authors = [
         NEWS_AUTHORS[a - _USERS] if a >= _USERS else f"user{a:05d}"
         for a in author_codes.tolist()
     ]
+    log.info(
+        "generate_corpus: %d rows, %d distinct texts, %d distinct authors",
+        rows, len(texts), len(authors),
+    )
     corpus = SynthCorpus(
-        week=np.repeat(np.arange(n_weeks), total),
-        ordinal=np.tile(np.arange(total), n_weeks),
+        week=np.repeat(np.arange(n_weeks, dtype=np.int32), total),
+        ordinal=np.tile(np.arange(total, dtype=np.int32), n_weeks),
         seconds=np.repeat(np.array(epochs, dtype=np.int64), total) + offsets,
         text=text,
         author=author,
@@ -523,7 +567,7 @@ def generate_corpus(config: SynthConfig) -> tuple[SynthCorpus, SynthTruth]:
         true_beta1=config.true_beta1,
         true_beta2=config.true_beta2,
         provenance_by_week=tuple(
-            tuple(week_codes) for week_codes in codes[template].reshape(n_weeks, total).tolist()
+            tuple(codes[template[w * total:(w + 1) * total]].tolist()) for w in range(n_weeks)
         ),
     )
     return corpus, truth

@@ -89,6 +89,37 @@ def test_synth_outputs_and_determinism(tmp_path, capsys):
     assert tree_a == tree_b  # byte-identical, run.json included
 
 
+def test_synth_verbose_logs_generation_and_write_on_stderr_only(tmp_path):
+    # A child process, as in the fraction -v test below.
+    def synth(*flags, out):
+        return subprocess.run(
+            [sys.executable, "-m", "ilitrack.cli", *flags, "synth", "--seed", "3",
+             "--weeks", "3", "--messages-per-week", "90", "--labeled-pos", "4",
+             "--labeled-neg", "3", "--out", str(out)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ilitrack.__file__).parents[1])},
+        )
+
+    quiet = synth(out=tmp_path / "quiet")
+    verbose = synth("-v", out=tmp_path / "verbose")
+    assert quiet.stderr == ""
+    messages = tmp_path / "quiet" / "messages.jsonl"
+    records = [json.loads(line) for line in messages.read_text(encoding="utf-8").splitlines()]
+    generated, written = verbose.stderr.splitlines()
+    assert generated == (
+        f"INFO ilitrack.synth: generate_corpus: 270 rows, "
+        f"{len({r['text'] for r in records})} distinct texts, "
+        f"{len({r['author'] for r in records})} distinct authors"
+    )
+    assert re.fullmatch(
+        rf"INFO \S+: synth: {messages.stat().st_size} bytes written to messages\.jsonl; "
+        r"generate_corpus [0-9.]+ s, generate_labeled [0-9.]+ s, messages\.jsonl [0-9.]+ s, "
+        r"other files [0-9.]+ s",
+        written,
+    ), written
+    assert read_tree(tmp_path / "verbose") == read_tree(tmp_path / "quiet")
+
+
 def test_synth_seed_changes_corpus(tmp_path, capsys):
     base = ["synth", "--weeks", "3", "--messages-per-week", "100",
             "--labeled-pos", "4", "--labeled-neg", "3"]
@@ -672,12 +703,23 @@ NOT_STRINGS_OR_LISTS = {
     ("run.json", "string argv"): b'{"command": "synth", "argv": "--seed 1"}',
     ("run.json", "number in argv"): b'{"command": "synth", "argv": ["--seed", 1]}',
 }
+# Weeks reaching outside years 1 to 9999, where date arithmetic overflows.
+ILI_FROM_YEAR_1 = "week_ending,ili_pct\n" + "".join(
+    f"{date(1, 1, 6) + timedelta(weeks=w)},1.5\n" for w in range(6))
+OUT_OF_RANGE_DATES = {
+    ("synth config", "weeks past year 9999"):
+        b'{"seed": 1, "weeks": 4, "first_week_end": "9999-12-25"}',
+    ("synth config", "week starting in year 0"):
+        b'{"seed": 1, "weeks": 4, "first_week_end": "0001-01-06"}',
+    ("ili", "week starting in year 0"): ILI_FROM_YEAR_1.encode(),
+}
 MALFORMED_CASES = [
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for loader in LOADERS for name, content in BAD_CONTENTS.items()),
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for (loader, name), content
-      in (NOT_INTEGERS | NOT_NUMBERS_OR_BOOLS | NOT_STRINGS_OR_LISTS).items()),
+      in (NOT_INTEGERS | NOT_NUMBERS_OR_BOOLS | NOT_STRINGS_OR_LISTS
+          | OUT_OF_RANGE_DATES).items()),
 ]
 
 

@@ -5,7 +5,10 @@ import json
 import math
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ilitrack.cli import main
 from ilitrack.corpus import CorpusError, bucket_weekly, ingest, load_ili_csv, tokenize
@@ -20,6 +23,7 @@ from ilitrack.synth import (
     NEWS_AUTHORS,
     SynthConfig,
     SynthError,
+    _unique_inverse,
     default_ili_curve,
     generate,
     generate_corpus,
@@ -360,6 +364,48 @@ def test_corpus_jsonl_is_the_reference_serialization(cfg):
     assert "".join(corpus.jsonl()) == messages_jsonl(messages)
     assert truth == reference_truth
     assert len(corpus) == len(messages) == sum(truth.totals)
+
+
+# Characters that JSON escapes, or writes as \u escapes: a quote, a
+# backslash, control characters, two letters outside ASCII and one outside
+# the BMP. Appended after a space, none can form or split a gate-query word.
+ESCAPED = '"\\\x00\x01\t\n\x1f\x7féΣ\U0001F600'
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    weeks=st.one_of(st.integers(1, 4), st.integers(100, 102)),
+    messages_per_week=st.integers(50, 70),
+    # Saturdays from 1950 to 1990, so POSIX days are negative as often as not.
+    saturdays_after_1970=st.integers(-1044, 1044),
+    suffixes=st.lists(st.text(ESCAPED, max_size=6), min_size=3, max_size=3),
+)
+@example(seed=1, weeks=101, messages_per_week=50, saturdays_after_1970=-60,
+         suffixes=['"\\', "\x00é", "Σ\U0001F600"])
+def test_corpus_jsonl_equals_the_reference_on_any_config(
+    seed, weeks, messages_per_week, saturdays_after_1970, suffixes
+):
+    def escaped(templates, suffix):
+        return tuple(f"{t} {suffix}" for t in templates)
+
+    cfg = SynthConfig(
+        seed=seed, weeks=weeks, messages_per_week=messages_per_week,
+        ili_curve=default_ili_curve(weeks),
+        first_week_end=date(1970, 1, 3) + timedelta(weeks=saturdays_after_1970),
+        positive_templates=escaped(DEFAULT_POSITIVE_TEMPLATES, suffixes[0]),
+        negative_templates=escaped(DEFAULT_NEGATIVE_TEMPLATES, suffixes[1]),
+        spurious_templates=escaped(DEFAULT_SPURIOUS_TEMPLATES, suffixes[2]),
+    )
+    assert "".join(generate_corpus(cfg)[0].jsonl()) == messages_jsonl(generate(cfg)[0])
+
+
+@given(st.lists(st.integers(0, 3000), min_size=1, max_size=200),
+       st.sampled_from([np.int16, np.int32, np.int64]))
+def test_unique_inverse_is_np_unique(values, dtype):
+    values = np.array(values).astype(dtype)
+    for got, want in zip(_unique_inverse(values), np.unique(values, return_inverse=True)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_news_config_has_news_desks_and_escaped_text():
