@@ -39,6 +39,7 @@ from .simulate import build_spurious_pool  # noqa: F401
 from .query import (
     GATE_QUERY,
     GATE_QUERY_TEXT,
+    Query,
     QueryError,
     QueryParseError,
     corpus_fraction_series,
@@ -184,13 +185,15 @@ def _synth_argv(args: argparse.Namespace) -> list[str]:
 # --- shared corpus loading ---------------------------------------------------
 
 
-def _load_weekly(messages_path: str, ili_path: str):
-    """Load the ILI series and the messages of its weeks."""
+def _load_weekly(messages_path: str, ili_path: str, queries: Sequence[Query]):
+    """Load the ILI series and the weekly totals of the messages of its
+    weeks, keeping only the messages holding some bare term of queries."""
     ili_rows = load_ili_csv(ili_path)
     first_end = ili_rows[0][0]
     last_end = ili_rows[-1][0]
-    corpus = load_corpus(messages_path, first_end, weeks=len(ili_rows))
-    if not len(corpus):
+    phrases = {term.tokens for query in queries for term in query.base_terms}
+    corpus = load_corpus(messages_path, first_end, weeks=len(ili_rows), phrases=phrases)
+    if not sum(corpus.totals()):
         raise CliError(
             f"no messages between {first_end - timedelta(days=6)} and {last_end}; "
             "the corpus does not overlap the ILI series"
@@ -266,7 +269,7 @@ def cmd_fraction(args: argparse.Namespace) -> int:
         raise CliError(f"--mode {args.mode} requires --classifier")
     classifier = clf.ClassifierModel.load(args.classifier) if args.classifier else None
     query = parse_query(args.query)
-    ili_rows, ili, corpus = _load_weekly(args.messages, args.ili)
+    ili_rows, ili, corpus = _load_weekly(args.messages, args.ili, [query])
     train_weeks = _train_range(args, len(ili_rows))
     eval_weeks = _eval_range(args, len(ili_rows))
     fractions, csv_text = _series_by_mode(args, query, corpus, classifier)
@@ -396,7 +399,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.classifier) == bool(args.train):
         raise CliError("pass exactly one of --classifier or --train")
     query = parse_query(args.query)
-    ili_rows, ili, corpus = _load_weekly(args.messages, args.ili)
+    ili_rows, ili, corpus = _load_weekly(args.messages, args.ili, [query, GATE_QUERY])
     train_weeks = _train_range(args, len(ili_rows))
 
     if args.classifier:

@@ -389,6 +389,25 @@ class Block:
     id_starts: np.ndarray
 
 
+def _phrase_pattern(tokens: Sequence[str]) -> re.Pattern:
+    """The regular expression that finds a phrase in a normalized text: its
+    tokens, a token character on neither side, and runs of other
+    characters between them that stay inside the row. The first token
+    leads the pattern, so the engine finds it by plain string search."""
+    first = re.escape(tokens[0])
+    pattern = f"{first}(?<![{_TOKEN_CHARS}]{first})"
+    for token in tokens[1:]:
+        pattern += f"[^{_TOKEN_CHARS}\\n]+{re.escape(token)}"
+    return re.compile(pattern + f"(?![{_TOKEN_CHARS}])")
+
+
+def _rows_found(pattern: re.Pattern, normalized: str, starts: np.ndarray) -> np.ndarray:
+    """The row of each match of pattern in the normalized texts of rows
+    joined by newlines, row i starting at starts[i]; once per match."""
+    at = np.fromiter((m.start() for m in pattern.finditer(normalized)), np.int64)
+    return np.searchsorted(starts, at, side="right") - 1
+
+
 def _joined(pieces: list[str], sep: str = "") -> tuple[str, np.ndarray]:
     """pieces joined by sep, piece i at offsets[i] : offsets[i + 1] -
     len(sep). The offsets are int32 when the joined string allows: a
@@ -404,6 +423,11 @@ def _joined(pieces: list[str], sep: str = "") -> tuple[str, np.ndarray]:
 class Corpus:
     """The messages of weeks 1..weeks as columns: what
     bucket_weekly(ingest(...)) holds, without one object per message.
+
+    week_totals[w - 1] is the number of messages in week w. When phrases is
+    None the rows are all of those messages; otherwise they are only the
+    messages whose tokens hold one of the phrases (token tuples), the only
+    rows a query whose bare terms are all among them can match.
 
     Rows are in file order. Row r was posted at POSIX second seconds[r];
     week[r] is its 1-based week index. Its text, author and id are row
@@ -422,6 +446,8 @@ class Corpus:
     week: np.ndarray
     row0: tuple[int, ...]
     blocks: tuple[Block, ...]
+    week_totals: tuple[int, ...]
+    phrases: frozenset[tuple[str, ...]] | None
 
     def __len__(self) -> int:
         return len(self.seconds)
@@ -430,8 +456,8 @@ class Corpus:
         return [self.first_week_end + timedelta(days=7 * i) for i in range(self.weeks)]
 
     def totals(self) -> list[int]:
-        """Number of messages in each week, weeks 1..weeks."""
-        return np.bincount(self.week, minlength=self.weeks + 1)[1:].tolist()
+        """Number of messages in each week, weeks 1..weeks, rows kept or not."""
+        return list(self.week_totals)
 
     def _locate(self, r: int) -> tuple[Block, int]:
         b = bisect.bisect_right(self.row0, r) - 1
@@ -447,22 +473,12 @@ class Corpus:
 
     def rows_with(self, tokens: Sequence[str]) -> np.ndarray:
         """One bool per row: whether tokens appear contiguously and in order
-        in the row's tokens.
-
-        A row's tokens are its maximal runs of token characters in its
-        block's normalized text, so the phrase is its tokens, a token
-        character on neither side, and runs of other characters between
-        them that stay inside the row. The first token leads the pattern,
-        so the engine finds it by plain string search."""
-        first = re.escape(tokens[0])
-        pattern = f"{first}(?<![{_TOKEN_CHARS}]{first})"
-        for token in tokens[1:]:
-            pattern += f"[^{_TOKEN_CHARS}\\n]+{re.escape(token)}"
-        found = re.compile(pattern + f"(?![{_TOKEN_CHARS}])")
+        in the row's tokens, the maximal runs of token characters in its
+        block's normalized text."""
+        found = _phrase_pattern(tokens)
         rows = np.zeros(len(self), dtype=bool)
         for row0, block in zip(self.row0, self.blocks):
-            at = np.fromiter((m.start() for m in found.finditer(block.normalized)), np.int64)
-            rows[row0 + np.searchsorted(block.starts, at, side="right") - 1] = True
+            rows[row0 + _rows_found(found, block.normalized, block.starts)] = True
         return rows
 
     def tokens(self, rows: Iterable[int]) -> list[list[str]]:
@@ -476,25 +492,38 @@ class Corpus:
         ]
 
 
-def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
+def load_corpus(
+    path: str | Path,
+    first_week_end: date,
+    weeks: int,
+    phrases: Iterable[Sequence[str]] | None = None,
+) -> Corpus:
     """Read a JSONL corpus into a Corpus of weeks 1..weeks.
 
-    Equivalent to bucket_weekly(ingest(path, date_range), first_week_end,
-    weeks) with date_range spanning exactly those weeks: it keeps the same
-    messages, and it rejects the same files with the same CorpusError.
+    With phrases None, equivalent to bucket_weekly(ingest(path,
+    date_range), first_week_end, weeks) with date_range spanning exactly
+    those weeks: it keeps the same messages, and it rejects the same files
+    with the same CorpusError. With phrases, a sequence of token sequences,
+    it keeps only the messages whose tokens hold one of them contiguously
+    (Corpus.rows_with), and the same weekly totals. Every message a query
+    matches holds one of its bare terms, so a corpus read for those terms
+    gives that query the same match_rows, week_scores and spurious pool on
+    the rows it keeps, while its memory grows with those rows only.
 
     The file is read _CHUNK_CHARS characters at a time, each chunk ending
-    at the end of a line, and the rows each chunk keeps become one Block,
-    so only the columns of the rows kept grow with the file. The chunks are
-    dealt out in turn to up to _SHARES processes (_read_rows), one when the
-    file fits in one chunk. In each chunk, lines in the layout
-    messages_jsonl writes are read by one regular expression and checked
-    column by column, other lines are decoded one by one, rows outside the
-    weeks are dropped and each text is normalized once; the text itself is
-    not kept. Ids must be unique across every row read, dropped rows too;
-    only the hash of each is kept. When any check fails, or two hashes are
-    equal, a check-only pass over the file (_checked, as ingest reads it)
-    raises ingest's error, which names the first bad line; it keeps no
+    at the end of a line, and the rows each chunk keeps become one Block.
+    The chunks are dealt out in turn to up to _SHARES processes
+    (_read_rows), one when the file fits in one chunk. In each chunk, lines
+    in the layout messages_jsonl writes are read by one regular expression
+    and checked column by column, other lines are decoded one by one, the
+    rows of each week are counted, rows outside the weeks are dropped and
+    each text is normalized once; the text itself is not kept. The phrases
+    are then searched for in the chunk's normalized texts, and only the
+    rows holding one go into its Block. Ids must be unique across every
+    row read, dropped rows too; only the hash of each is kept, the one
+    column that grows with the file. When any check fails, or two hashes
+    are equal, a check-only pass over the file (_checked, as ingest reads
+    it) raises ingest's error, which names the first bad line; it keeps no
     message, and the file is read again when only the hashes collide. No
     text is tokenized here: a query finds its rows in the normalized text
     (Corpus.rows_with), and scoring tokenizes only the rows it scores
@@ -502,10 +531,10 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
-    start = first_week_end - timedelta(days=6)
-    end = first_week_end + timedelta(days=7 * (weeks - 1))
+    if phrases is not None:
+        phrases = frozenset(map(tuple, phrases))
     shares = max(1, min(_SHARES, math.ceil(os.path.getsize(path) / _CHUNK_CHARS)))
-    read = _read_rows(path, start, end, shares)
+    read = _read_rows(path, first_week_end, weeks, phrases, shares)
     if read is None or (read[0][1:] == read[0][:-1]).any():
         rejected = read is None
         del read  # the columns go first: the check-only pass keeps one line number per id
@@ -513,21 +542,28 @@ def load_corpus(path: str | Path, first_week_end: date, weeks: int) -> Corpus:
             pass
         if rejected:
             raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-        read = _read_rows(path, start, end, shares)  # only two hashes were equal
-    hashes, seconds, blocks = read
-    days = seconds // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal()
+        read = _read_rows(path, first_week_end, weeks, phrases, shares)  # only hashes collide
+    hashes, totals, seconds, blocks = read
     row0 = tuple(np.cumsum([0, *(len(b.starts) - 1 for b in blocks)])[:-1].tolist())
-    corpus = Corpus(first_week_end, weeks, seconds, (days + 6) // 7 + 1, row0, tuple(blocks))
+    corpus = Corpus(first_week_end, weeks, seconds, _week_of(seconds, first_week_end), row0,
+                    tuple(blocks), tuple(totals.tolist()), phrases)
     sizes = [sum(sys.getsizeof(getattr(b, name)) for b in blocks)
              for name in ("normalized", "authors", "ids")]
     log.info(
-        "load_corpus %s: %d rows read by %d process(es), %d kept in weeks 1..%d, %d blocks "
-        "holding %d normalized, %d author and %d id bytes, %.3f s",
-        path, len(hashes), shares, len(corpus), weeks, len(blocks), *sizes,
+        "load_corpus %s: %d rows read by %d process(es), %d in weeks 1..%d, %d kept for %s, "
+        "%d blocks holding %d normalized, %d author and %d id bytes, %.3f s",
+        path, len(hashes), shares, sum(corpus.week_totals), weeks, len(corpus),
+        "every row" if phrases is None else f"{len(phrases)} phrase(s)", len(blocks), *sizes,
         time.perf_counter() - began,
     )
     _warn_empty(corpus.totals())
     return corpus
+
+
+def _week_of(seconds: np.ndarray, first_week_end: date) -> np.ndarray:
+    """The 1-based week index of each POSIX second; below 1 before week 1."""
+    days = seconds // 86400 + _EPOCH_ORDINAL - first_week_end.toordinal()
+    return (days + 6) // 7 + 1
 
 
 # load_corpus reads this many characters at a time, plus the rest of the
@@ -555,11 +591,16 @@ def _chunks(path: str | Path) -> Iterator[str]:
 
 @_collector_paused()
 def _read_rows(
-    path: str | Path, start: date, end: date, shares: int
-) -> tuple[np.ndarray, np.ndarray, list[Block]] | None:
-    """The sorted _id_hash of the id of every row read, and the POSIX
-    seconds and the Blocks of the rows dated start..end; or None when some
-    record is one that ingest rejects.
+    path: str | Path,
+    first_week_end: date,
+    weeks: int,
+    phrases: frozenset[tuple[str, ...]] | None,
+    shares: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Block]] | None:
+    """The sorted _id_hash of the id of every row read, the number of rows
+    in each of weeks 1..weeks, and the POSIX seconds and the Blocks of the
+    rows of those weeks that hold one of the phrases (all of them when
+    phrases is None); or None when some record is one that ingest rejects.
 
     shares processes read the file: this one reads share 0 and shares - 1
     forked children read the others (_read_share), each opening the file
@@ -577,12 +618,12 @@ def _read_rows(
     try:
         for share in range(1, shares):
             reader, writer = context.Pipe(duplex=False)
-            args = (writer, path, start, end, share, shares)
+            args = (writer, path, first_week_end, weeks, phrases, share, shares)
             process = context.Process(target=_send_share, args=args, daemon=True)
             process.start()
             children.append((process, reader))
             writer.close()  # only the child holds it now
-        read = [list(_read_share(path, start, end, 0, shares))]
+        read = [list(_read_share(path, first_week_end, weeks, phrases, 0, shares))]
         for share, (process, reader) in enumerate(children, start=1):
             if None in read[-1]:
                 break
@@ -606,18 +647,28 @@ def _read_rows(
     # Chunk i of the file is piece i // shares of share i % shares.
     pieces = [read[i % shares][i // shares] for i in range(sum(map(len, read)))]
     del read
-    hashes = np.sort(np.concatenate([np.zeros(0, np.int64), *(p[0] for p in pieces)]))
-    seconds = np.concatenate([np.zeros(0, np.int64), *(p[1] for p in pieces)])
-    return hashes, seconds, [p[2] for p in pieces if p[2] is not None]
+    hashes = np.concatenate([np.zeros(0, np.int64), *(p[0] for p in pieces)])
+    hashes.sort()  # in place: a sorted copy would hold every hash a third time
+    totals = sum((p[1] for p in pieces), np.zeros(weeks, np.int64))
+    seconds = np.concatenate([np.zeros(0, np.int64), *(p[2] for p in pieces)])
+    return hashes, totals, seconds, [p[3] for p in pieces if p[3] is not None]
 
 
 def _read_share(
-    path: str | Path, start: date, end: date, share: int, shares: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, Block | None] | None]:
+    path: str | Path,
+    first_week_end: date,
+    weeks: int,
+    phrases: frozenset[tuple[str, ...]] | None,
+    share: int,
+    shares: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Block | None] | None]:
     """For each chunk k of the file with k % shares == share, in order: the
-    _id_hash of the id of every row it holds, and the POSIX seconds and the
-    Block (None if there are none) of its rows dated start..end. Yields None
-    and stops at a chunk holding a record that ingest rejects."""
+    _id_hash of the id of every row it holds, the number of its rows in
+    each of weeks 1..weeks, and the POSIX seconds and the Block (None if
+    there are none) of its rows of those weeks that hold one of the
+    phrases, or of all of them when phrases is None. Yields None and stops
+    at a chunk holding a record that ingest rejects."""
+    patterns = None if phrases is None else [_phrase_pattern(p) for p in phrases]
     try:
         for chunk in itertools.islice(_chunks(path), share, None, shares):
             columns = _read_columns(chunk)
@@ -626,23 +677,44 @@ def _read_share(
                 return
             ids, seconds, authors, texts = columns
             hashes = np.fromiter(map(_id_hash, ids), np.int64, count=len(ids))
-            ordinal = seconds // 86400 + _EPOCH_ORDINAL
-            inside = (ordinal >= start.toordinal()) & (ordinal <= end.toordinal())
+            week = _week_of(seconds, first_week_end)
+            inside = (week >= 1) & (week <= weeks)
+            counts = np.bincount(week[inside], minlength=weeks + 1)[1:]
             if not inside.all():
-                keep = np.flatnonzero(inside).tolist()
-                ids, authors, texts = ([col[r] for r in keep] for col in (ids, authors, texts))
-                seconds = seconds[inside]
-            if not ids:
-                yield hashes, seconds, None
-                continue
+                seconds, ids, authors, texts = _taken(inside, seconds, ids, authors, texts)
             # Each text normalized on its own: str.lower maps Σ by its neighbours.
-            normalized = _joined(list(map(normalize, texts)), "\n")
-            yield hashes, seconds, Block(*normalized, *_joined(authors), *_joined(ids))
+            normalized = list(map(normalize, texts))
+            if patterns is not None:
+                held = np.zeros(len(ids), dtype=bool)
+                joined, starts = _joined(normalized, "\n")
+                for pattern in patterns:
+                    held[_rows_found(pattern, joined, starts)] = True
+                del joined, starts
+                seconds, ids, authors, normalized = _taken(held, seconds, ids, authors, normalized)
+            if not ids:
+                yield hashes, counts, seconds, None
+                continue
+            block = Block(*_joined(normalized, "\n"), *_joined(authors), *_joined(ids))
+            yield hashes, counts, seconds, block
     except UnicodeDecodeError:
         yield None  # the check-only pass names the line
 
 
-def _send_share(writer, path: str | Path, start: date, end: date, share: int, shares: int):
+def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
+    """seconds and each column, at the rows where mask is true."""
+    keep = np.flatnonzero(mask).tolist()
+    return seconds[mask], *([column[r] for r in keep] for column in columns)
+
+
+def _send_share(
+    writer,
+    path: str | Path,
+    first_week_end: date,
+    weeks: int,
+    phrases: frozenset[tuple[str, ...]] | None,
+    share: int,
+    shares: int,
+):
     """In a forked child: send each piece of a share as it is read, then
     _END. One thread sends while this one reads on, so a parent still busy
     with its own share never holds this one up. A piece that cannot be sent
@@ -650,7 +722,7 @@ def _send_share(writer, path: str | Path, start: date, end: date, share: int, sh
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as sender:
-        pieces = _read_share(path, start, end, share, shares)
+        pieces = _read_share(path, first_week_end, weeks, phrases, share, shares)
         sent = [sender.submit(writer.send, piece) for piece in pieces]
     for future in sent:
         future.result()

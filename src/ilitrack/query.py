@@ -413,7 +413,18 @@ def _rows_with_any(terms: Iterable[Term], corpus: Corpus) -> np.ndarray:
 
 
 def match_rows(query: Query, corpus: Corpus) -> np.ndarray:
-    """Boolean per corpus row: matches(query, that row's message)."""
+    """Boolean per corpus row: matches(query, that row's message).
+
+    A corpus read for some phrases keeps only the rows holding one of
+    them, so it must have been read for every bare term of the query: a
+    matching message holds one of those, and no other row can match."""
+    if corpus.phrases is not None:
+        missing = [t for t in query.base_terms if t.tokens not in corpus.phrases]
+        if missing:
+            raise QueryError(
+                f"the corpus was read for {len(corpus.phrases)} phrase(s), not for "
+                f"{' '.join(_render_terms(missing))}, so it cannot count the query's matches"
+            )
     began = time.perf_counter()
     rows = _rows_with_any(query.base_terms, corpus)
     for group in query.required:

@@ -368,6 +368,13 @@ def _validate_templates(config: SynthConfig) -> None:
         if not templates:
             raise SynthError(f"{name}_templates must be non-empty")
         for ti, template in enumerate(templates):
+            try:  # a fourth slot, a named field or a stray brace
+                _instantiate(template, ("",) * 3)
+            except (IndexError, KeyError, ValueError) as exc:
+                raise SynthError(
+                    f"{name} template {ti} must be text with at most 3 {{}} slots "
+                    f"({type(exc).__name__}: {exc}): {template!r}"
+                ) from None
             for filler in FILLER_WORDS:
                 text = _instantiate(template, (filler, filler, filler))
                 tm = tokenize_message(

@@ -218,16 +218,20 @@ def test_fraction_verbose_logs_load_and_match_on_stderr_only(work, tmp_path):
     quiet = fraction(out=tmp_path / "quiet")
     verbose = fraction("-v", out=tmp_path / "verbose")
     assert quiet.stderr == ""
-    assert re.search(
-        r"^INFO ilitrack\.corpus: load_corpus \S+: 1500 rows read by 1 process\(es\), 1500 kept "
-        r"in weeks 1\.\.6, 1 blocks holding \d+ normalized, \d+ author and \d+ id bytes, "
-        r"[0-9.]+ s$",
+    loaded = re.search(
+        r"^INFO ilitrack\.corpus: load_corpus \S+: 1500 rows read by 1 process\(es\), 1500 in "
+        r"weeks 1\.\.6, (\d+) kept for 4 phrase\(s\), 1 blocks holding \d+ normalized, \d+ "
+        r"author and \d+ id bytes, [0-9.]+ s$",
         verbose.stderr, re.MULTILINE,
-    ), verbose.stderr
+    )
+    assert loaded, verbose.stderr
     matched = sum(
         int(line.split(",")[2])
         for line in (tmp_path / "quiet" / "fractions.csv").read_text().splitlines()[1:]
     )
+    # The query has no + or - group, so the rows kept for its four bare
+    # terms are the rows it matches.
+    assert int(loaded[1]) == matched
     found = re.search(
         r"^INFO ilitrack\.query: match_rows (.*): (\d+) matching rows, [0-9.]+ s$",
         verbose.stderr, re.MULTILINE,
@@ -317,6 +321,27 @@ def test_fraction_degenerate_fit_exits_1_with_flagged_summary(tmp_path, capsys):
     assert (out / "fractions.csv").exists()  # diagnostics survive the failure
     assert not (out / "model.json").exists()
     assert not (out / "estimates.csv").exists()
+
+
+def test_fraction_with_a_query_no_message_holds_counts_every_message(work, tmp_path, capsys):
+    # The corpus read for "zzzz" keeps no row, but its weeks are not empty:
+    # the fractions are 0 over each week's total, and the fit, not the
+    # load, fails.
+    out = tmp_path / "out"
+    captured = run_fail(capsys, [
+        "fraction", "--messages", str(work["messages"]), "--ili", str(work["ili"]),
+        "--query", "zzzz", "--seed", "0", "--train-weeks", "1:4", "--eval-weeks", "5:6",
+        "--out", str(out),
+    ])
+    error = "predictor fractions are constant over the training weeks; slope is unidentifiable"
+    assert captured.err == f"error: {error}\n"
+    ends = [line.split(",")[0] for line in work["ili"].read_text().splitlines()[1:]]
+    assert (out / "fractions.csv").read_text() == "week_index,end_date,matches,total,fraction\n" \
+        + "".join(f"{w},{end},0,250,0.0\n" for w, end in enumerate(ends, start=1))
+    assert json.loads((out / "summary.json").read_text()) == {
+        "degenerate": True, "error": error, "mode": "plain", "query": "zzzz",
+        "train_weeks": [1, 2, 3, 4], "eval_weeks": [5, 6],
+    }
 
 
 def test_fraction_week_range_validation(work, tmp_path, capsys):
@@ -713,13 +738,21 @@ OUT_OF_RANGE_DATES = {
         b'{"seed": 1, "weeks": 4, "first_week_end": "0001-01-06"}',
     ("ili", "week starting in year 0"): ILI_FROM_YEAR_1.encode(),
 }
+# Templates that str.format cannot fill from three fillers: a fourth slot
+# (IndexError), a named field (KeyError) and a stray brace (ValueError).
+BAD_TEMPLATES = {
+    ("synth config", name): b'{"seed": 1, "positive_templates": ["%s"]}' % template
+    for name, template in (("four template slots", b"flu {} {} {} {}"),
+                           ("named template field", b"flu {} {x}"),
+                           ("stray template brace", b"flu { {}"))
+}
 MALFORMED_CASES = [
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for loader in LOADERS for name, content in BAD_CONTENTS.items()),
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for (loader, name), content
       in (NOT_INTEGERS | NOT_NUMBERS_OR_BOOLS | NOT_STRINGS_OR_LISTS
-          | OUT_OF_RANGE_DATES).items()),
+          | OUT_OF_RANGE_DATES | BAD_TEMPLATES).items()),
 ]
 
 

@@ -505,10 +505,10 @@ def test_load_corpus_names_the_exit_code_of_a_reader_that_dies(tmp_path):
     write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z") for i in range(20)])
     read_share = corpus_module._read_share
 
-    def dies(path, start, end, share, shares):
+    def dies(path, first_week_end, weeks, phrases, share, shares):
         if share:
             os._exit(3)
-        return read_share(path, start, end, share, shares)
+        return read_share(path, first_week_end, weeks, phrases, share, shares)
 
     def give_up(signum, frame):
         raise TimeoutError("load_corpus still waits for a reader that died")

@@ -28,18 +28,21 @@ _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 # Extra peak memory over the messages file's size, per command. On a 9.4
-# MiB file (8 weeks x 9000 messages) the extra is 1.9x for synth, 1.9x for
-# fraction and 2.1x for simulate --train here, and 2.1x and 2.3x with one
-# astral-plane character appended. Synth's was 3.1x while generate_corpus
-# kept every draw twice in int64. It was 6.6x and 5.7x for synth and
-# fraction when both held the whole file in memory, 3.6x for fraction and
-# 4.2x for simulate while the corpus kept every text and one author string
-# per row, and 2.5x and 2.8x (3.7x and 3.8x with the astral character)
-# while it joined each column across the whole file and kept one id
-# string per row. With a duplicate of line 1 appended, fraction's extra is
-# 2.0x; it was 3.9x while the error was found by building one Message per
-# line.
-BOUNDS = {"synth": 2.4, "fraction": 2.4, "simulate": 2.7}
+# MiB file (8 weeks x 9000 messages) the extra is 1.9x for synth, 1.4x for
+# fraction and 1.4x for simulate --train here, also with one astral-plane
+# character appended: the corpus keeps only the rows holding a bare term
+# of the command's queries. It was 1.7x and 2.1x (2.1x for simulate with
+# the astral character) while the corpus kept every row of the weeks.
+# Synth's was 3.1x while generate_corpus kept every draw twice in int64.
+# It was 6.6x and 5.7x for synth and fraction when both held the whole
+# file in memory, 3.6x for fraction and 4.2x for simulate while the
+# corpus kept every text and one author string per row, and 2.5x and
+# 2.8x (3.7x and 3.8x with the astral character) while it joined each
+# column across the whole file and kept one id string per row. With a
+# duplicate of line 1 appended, fraction's extra is 1.4x; it was 1.6x
+# while every row was kept, 2.0x before that, and 3.9x while the error
+# was found by building one Message per line.
+BOUNDS = {"synth": 2.4, "fraction": 1.9, "simulate": 2.0}
 
 
 def peak_mib(*args: str, code: int = 0, stderr: str = "") -> float:

@@ -4,11 +4,14 @@ import json
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilitrack import corpus as corpus_module
 from ilitrack.classify import ClassifierModel, bucket_fractions, predict_proba, week_scores
 from ilitrack.corpus import WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
 from ilitrack.query import (
@@ -27,6 +30,7 @@ from ilitrack.query import (
     parse_query,
     query_fraction_series,
 )
+from ilitrack.simulate import SimulationError, corpus_spurious_pool
 
 from conftest import tmsg
 
@@ -408,9 +412,10 @@ def queries(draw):
         return draw(st.nothing())
 
 
-def write_weeks(path, weeks_of_texts, shuffle=None):
-    """One message per text, week by week; the lines are in time order
-    unless shuffle (a random.Random) permutes them."""
+def write_weeks(path, weeks_of_texts, shuffle=None, authors=("a",)):
+    """One message per text, week by week, their authors taken from
+    authors in turn; the lines are in time order unless shuffle (a
+    random.Random) permutes them."""
     start = datetime(2009, 8, 30, tzinfo=timezone.utc)
     lines = []
     for w, texts in enumerate(weeks_of_texts):
@@ -418,7 +423,7 @@ def write_weeks(path, weeks_of_texts, shuffle=None):
             ts = start + timedelta(days=7 * w + i % 7, minutes=i)
             lines.append(json.dumps({
                 "id": f"w{w}m{i}", "timestamp": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                "author": "a", "text": text,
+                "author": authors[i % len(authors)], "text": text,
             }))
     if shuffle is not None:
         shuffle.shuffle(lines)
@@ -518,3 +523,67 @@ def test_week_scores_agree_with_bucket_fractions(query, model, weeks_of_texts, s
         tuple(predict_proba(model, tm) for tm in b.messages if matches(query, tm)) for b in buckets
     ]
     assert [s.fractions() for s in scores] == [bucket_fractions(query, b, model) for b in buckets]
+
+
+# --- corpora read for phrases -----------------------------------------------------
+
+
+def spurious_pool(corpus):
+    try:
+        pool = corpus_spurious_pool(corpus, match_rows(GATE_QUERY, corpus))
+    except SimulationError as exc:
+        return str(exc)
+    return pool.tokens, pool.source_rule
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    queries(),
+    classifiers(),
+    st.lists(st.lists(MESSAGE_TEXTS, min_size=1, max_size=6), min_size=3, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_a_corpus_read_for_the_bare_terms_equals_the_whole_corpus_on_its_rows(
+    query, model, weeks_of_texts, shuffle
+):
+    phrases = [term.tokens for term in query.base_terms]
+    with_gate = phrases + [term.tokens for term in GATE_QUERY.base_terms]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "msgs.jsonl"
+        write_weeks(p, weeks_of_texts, shuffle, authors=("a", "News desk", "b"))
+        full = load_corpus(p, SAT1, 3)
+        read = []
+        for size in (corpus_module._CHUNK_CHARS, 37):
+            with mock.patch.multiple(corpus_module, _CHUNK_CHARS=size, _SHARES=1):
+                read += [load_corpus(p, SAT1, 3, phrases), load_corpus(p, SAT1, 3, with_gate)]
+    matched = match_rows(query, full)
+    row_of = {full.id(r): r for r in range(len(full))}
+    for corpus in read:
+        # It keeps the rows holding one of its phrases, in file order, and
+        # counts every row.
+        kept = [row_of[corpus.id(r)] for r in range(len(corpus))]
+        holding = np.logical_or.reduce([full.rows_with(t) for t in corpus.phrases])
+        assert kept == np.flatnonzero(holding).tolist()
+        assert corpus.seconds.tolist() == full.seconds[kept].tolist()
+        assert corpus.totals() == full.totals()
+        assert match_rows(query, corpus).tolist() == matched[kept].tolist()
+        assert corpus_fraction_series(query, corpus) == corpus_fraction_series(query, full)
+        assert week_scores(match_rows(query, corpus), corpus, model) == week_scores(
+            matched, full, model
+        )
+    for corpus in read[1::2]:
+        assert spurious_pool(corpus) == spurious_pool(full)
+
+
+def test_match_rows_rejects_a_term_the_corpus_was_not_read_for(tmp_path):
+    p = tmp_path / "msgs.jsonl"
+    write_weeks(p, [["flu shot", "sore throat", "flu in bed", "bed"]])
+    corpus = load_corpus(p, SAT1, 1, phrases=[("flu",)])
+    assert len(corpus) == 2 and corpus.totals() == [4]
+    # + and - groups need no phrase: they only narrow the rows a bare term finds.
+    assert match_rows(parse_query("flu +shot -bed"), corpus).tolist() == [True, False]
+    for text in ("flu sore", '"flu shot"', "bed +flu"):
+        with pytest.raises(QueryError, match="the corpus was read for 1 phrase"):
+            match_rows(parse_query(text), corpus)
+        with pytest.raises(QueryError, match="not for"):
+            corpus_fraction_series(parse_query(text), corpus)
