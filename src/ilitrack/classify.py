@@ -28,6 +28,7 @@ from .corpus import (
     json_float,
     json_int,
     json_str,
+    json_value,
     message_from_record,
     read_records,
     read_text,
@@ -66,7 +67,7 @@ def load_labeled_jsonl(path: str | Path) -> list[LabeledMessage]:
         if "label" not in record:
             raise ClassifierError(f"line {line_no}: missing field 'label'")
         label = record["label"]
-        if isinstance(label, bool) or label not in (0, 1):
+        if type(label) is not int or label not in (0, 1):  # json_int's rule: not 1.0 or true
             raise ClassifierError(
                 f"line {line_no}: label must be 0 or 1, got {label!r}"
             )
@@ -126,8 +127,8 @@ class ClassifierModel:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassifierModel":
+        doc = json_value(text, ClassifierError, "bad classifier document")
         try:
-            doc = json.loads(text)
             fields = dict(
                 vocabulary={str(k): json_int(v) for k, v in doc["vocabulary"].items()},
                 theta=tuple(json_float(t) for t in doc["theta"]),

@@ -29,7 +29,7 @@ from typing import Iterable, NoReturn, Sequence
 
 from . import classify as clf
 from . import synth as syn
-from .corpus import CorpusError, json_list, json_str, load_corpus, load_ili_csv, read_text
+from .corpus import CorpusError, json_list, json_str, json_value, load_corpus, load_ili_csv, read_text
 
 # The per-message reference path that the columnar CLI path reproduces.
 # perfbench/spans.py wraps these names on this module.
@@ -471,12 +471,14 @@ def _simulate_argv(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
+    doc = json_value(read_text(args.run, CliError), CliError, "bad run.json")
     try:
-        doc = json.loads(read_text(args.run, CliError))
         command = json_str(doc["command"])
         argv = [json_str(a) for a in json_list(doc["argv"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad run.json: {exc}") from None
+    if any("\0" in a for a in argv):  # no path or flag may hold one
+        raise CliError("bad run.json: argv holds a null character")
     if command not in ("synth", "fraction", "classify", "simulate"):
         raise CliError(f"run.json names unknown command {command!r}")
     recorded = build_parser(_RunJsonParser).parse_args([command, *argv, "--out", str(args.out)])

@@ -192,13 +192,23 @@ def read_records(path: str | Path, error: type[ValueError]) -> Iterator[tuple[in
         # isspace instead of strip(): no per-line copy of the whole text
         if not line or line.isspace():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise error(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        record = json_value(line, error, f"line {line_no}")
         if not isinstance(record, dict):
             raise error(f"line {line_no}: expected a JSON object")
         yield line_no, record
+
+
+def json_value(text: str, error: type[ValueError], where: str) -> object:
+    """json.loads(text) for a text from outside the program, raising error
+    led by where when text is not JSON, nests deeper than the decoder
+    recurses (RecursionError) or holds an integer too long for int()."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = f"{exc.msg} at character {exc.pos}"
+    except (RecursionError, ValueError) as exc:
+        reason = str(exc)
+    raise error(f"{where}: invalid JSON ({reason})")
 
 
 def json_int(value: object) -> int:
@@ -261,19 +271,20 @@ def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
     return messages
 
 
-def _checked(path: str | Path) -> Iterator[Message]:
+def _checked(path: str | Path, repeated: set[int] | None = None) -> Iterator[Message]:
     """Each message of a JSONL file in file order. A malformed line, or an
-    id an earlier line holds, raises CorpusError naming the line. Only the
-    line number of each id is kept."""
+    id an earlier line holds, raises CorpusError naming the line. Only line
+    numbers are kept: of every id, or of those whose _id_hash is in repeated."""
     seen: dict[str, int] = {}
     for line_no, record in read_records(path, CorpusError):
         msg = message_from_record(record, line_no)
-        if msg.id in seen:
-            raise CorpusError(
-                f"line {line_no}: duplicate message id {msg.id!r} "
-                f"(first seen on line {seen[msg.id]})"
-            )
-        seen[msg.id] = line_no
+        if repeated is None or _id_hash(msg.id) in repeated:
+            if msg.id in seen:
+                raise CorpusError(
+                    f"line {line_no}: duplicate message id {msg.id!r} "
+                    f"(first seen on line {seen[msg.id]})"
+                )
+            seen[msg.id] = line_no
         yield msg
 
 
@@ -521,13 +532,13 @@ def load_corpus(
     are then searched for in the chunk's normalized texts, and only the
     rows holding one go into its Block. Ids must be unique across every
     row read, dropped rows too; only the hash of each is kept, the one
-    column that grows with the file. When any check fails, or two hashes
-    are equal, a check-only pass over the file (_checked, as ingest reads
-    it) raises ingest's error, which names the first bad line; it keeps no
-    message, and the file is read again when only the hashes collide. No
-    text is tokenized here: a query finds its rows in the normalized text
-    (Corpus.rows_with), and scoring tokenizes only the rows it scores
-    (Corpus.tokens).
+    column that grows with the file. When any check fails, a check-only
+    pass over the file (_checked, as ingest reads it) raises ingest's
+    error, naming the first bad line. When two hashes are equal, the pass
+    follows only the ids with those hashes: it raises on a true duplicate,
+    else the load goes on with the columns it has. No text is tokenized
+    here: a query finds its rows in the normalized text (Corpus.rows_with),
+    and scoring tokenizes only the rows it scores (Corpus.tokens).
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
@@ -535,15 +546,13 @@ def load_corpus(
         phrases = frozenset(map(tuple, phrases))
     shares = max(1, min(_SHARES, math.ceil(os.path.getsize(path) / _CHUNK_CHARS)))
     read = _read_rows(path, first_week_end, weeks, phrases, shares)
-    if read is None or (read[0][1:] == read[0][:-1]).any():
-        rejected = read is None
-        del read  # the columns go first: the check-only pass keeps one line number per id
-        for _ in _checked(path):  # raises, naming the first bad line
-            pass
-        if rejected:
-            raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-        read = _read_rows(path, first_week_end, weeks, phrases, shares)  # only hashes collide
+    if read is None:
+        _check_only(path, None, "a rejected record")
+        raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
     hashes, totals, seconds, blocks = read
+    repeated = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    if repeated:
+        _check_only(path, repeated, f"{len(repeated)} repeated id hash(es)")
     row0 = tuple(np.cumsum([0, *(len(b.starts) - 1 for b in blocks)])[:-1].tolist())
     corpus = Corpus(first_week_end, weeks, seconds, _week_of(seconds, first_week_end), row0,
                     tuple(blocks), tuple(totals.tolist()), phrases)
@@ -558,6 +567,18 @@ def load_corpus(
     )
     _warn_empty(corpus.totals())
     return corpus
+
+
+def _check_only(path: str | Path, repeated: set[int] | None, cause: str) -> None:
+    """The check-only pass _checked(path, repeated), which raises ingest's
+    error naming the first bad line, logged with its cause and time."""
+    began = time.perf_counter()
+    try:
+        for _ in _checked(path, repeated):
+            pass
+    finally:
+        log.info("load_corpus %s: check-only pass for %s, %.3f s", path, cause,
+                 time.perf_counter() - began)
 
 
 def _week_of(seconds: np.ndarray, first_week_end: date) -> np.ndarray:
@@ -575,8 +596,6 @@ _id_hash = hash
 # the CPUs it may run on. Where the system does not say (macOS, Windows,
 # where multiprocessing does not fork by default), one process reads.
 _SHARES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-# What a process reading a share sends after its last chunk.
-_END = "end of share"
 
 
 def _chunks(path: str | Path) -> Iterator[str]:
@@ -604,12 +623,12 @@ def _read_rows(
 
     shares processes read the file: this one reads share 0 and shares - 1
     forked children read the others (_read_share), each opening the file
-    itself and sending back what it read one chunk at a time. The children
-    are forked, never spawned: the id hashes of every share are compared
-    with each other, and only a forked child keeps this process's hash
-    secret, so that hash(str) gives the same value in every share. A child
-    that exits before sending _END ends its pipe, and ChildProcessError
-    names its exit code."""
+    itself and sending back its whole share in one message (_send_share).
+    The children are forked, never spawned: the id hashes of every share
+    are compared with each other, and only a forked child keeps this
+    process's hash secret, so that hash(str) gives the same value in every
+    share. A child that exits before sending its share ends its pipe, and
+    ChildProcessError names its exit code."""
     if shares > 1:
         import multiprocessing  # imported here: it adds about 16 ms to start-up
 
@@ -627,15 +646,13 @@ def _read_rows(
         for share, (process, reader) in enumerate(children, start=1):
             if None in read[-1]:
                 break
-            read.append([])
             try:
-                while (piece := reader.recv()) != _END:
-                    read[-1].append(piece)
+                read.append(reader.recv())
             except (EOFError, OSError):
                 process.join()
                 raise ChildProcessError(
                     f"{path}: the process reading share {share} of the file exited with "
-                    f"code {process.exitcode} before sending all of it"
+                    f"code {process.exitcode} before sending it"
                 ) from None
     finally:
         for process, reader in children:
@@ -706,27 +723,11 @@ def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
     return seconds[mask], *([column[r] for r in keep] for column in columns)
 
 
-def _send_share(
-    writer,
-    path: str | Path,
-    first_week_end: date,
-    weeks: int,
-    phrases: frozenset[tuple[str, ...]] | None,
-    share: int,
-    shares: int,
-):
-    """In a forked child: send each piece of a share as it is read, then
-    _END. One thread sends while this one reads on, so a parent still busy
-    with its own share never holds this one up. A piece that cannot be sent
-    raises, and _END is never sent."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as sender:
-        pieces = _read_share(path, first_week_end, weeks, phrases, share, shares)
-        sent = [sender.submit(writer.send, piece) for piece in pieces]
-    for future in sent:
-        future.result()
-    writer.send(_END)
+def _send_share(writer, *share_args) -> None:
+    """In a forked child: send the pieces of _read_share(*share_args) in one
+    message. It holds the hash of every id the share read but only the rows
+    kept, so it is small when the load is for phrases."""
+    writer.send(list(_read_share(*share_args)))
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
@@ -756,9 +757,9 @@ def _read_columns(chunk: str) -> tuple[list[str], np.ndarray, list[str], list[st
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = json_value(line, CorpusError, "line 0")
             message = message_from_record(record, line_no=0)
-        except (json.JSONDecodeError, CorpusError):
+        except CorpusError:
             return None  # ingest re-reads the file and names the line
         ids[r], authors[r], texts[r] = message.id, message.author, message.text
         stamps[r] = record["timestamp"][:19]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import json_float, json_int, read_text
+from .corpus import json_float, json_int, json_value, read_text
 
 
 class RegressionError(ValueError):
@@ -100,8 +100,8 @@ class RegressionModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RegressionModel":
+        doc = json_value(text, RegressionError, "bad regression model document")
         try:
-            doc = json.loads(text)
             return cls(
                 beta1=json_float(doc["beta1"]),
                 beta2=json_float(doc["beta2"]),

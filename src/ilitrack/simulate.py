@@ -19,7 +19,7 @@ import numpy as np
 
 from .classify import bucket_fractions  # noqa: F401  (perfbench/spans.py wraps it here)
 from .classify import ClassifierModel, WeekScores, score_tokens
-from .corpus import Corpus, Message, TokenizedMessage, WeekBucket, json_int
+from .corpus import Corpus, Message, TokenizedMessage, WeekBucket, json_int, json_value
 from .corpus import tokenize, tokenize_message
 from .query import GATE_QUERY, Query, Term, matches, matches_tokens
 from .regress import RegressionModel, WeeklySeries, clamp_fraction, predict
@@ -90,8 +90,8 @@ class InjectionSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "InjectionSchedule":
+        doc = json_value(text, SimulationError, "bad schedule document")
         try:
-            doc = json.loads(text)
             pairs = tuple((json_int(w), json_int(n)) for w, n in doc["pairs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"bad schedule document: {exc}") from None
@@ -200,13 +200,21 @@ def inject(
             continue
         day = datetime.combine(bucket.end_date, time(), timezone.utc)
         injected = []
-        for i in rng.integers(0, len(pool), size=n).tolist():
+        for i in _draws(rng, pool, bucket.week_index, n):
             tokens = pool.tokens[i]
             clone = Message(id=f"#inj{ordinal}", timestamp=day, author="", text=" ".join(tokens))
             injected.append(TokenizedMessage(message=clone, tokens=tokens))
             ordinal += 1
         out.append(replace(bucket, messages=bucket.messages + tuple(injected)))
     return out
+
+
+def _draws(rng: np.random.Generator, pool: SpuriousPool, week: int, n: int) -> list[int]:
+    """The pool indices of week's n injected messages, drawn with replacement."""
+    try:
+        return rng.integers(0, len(pool), size=n).tolist()
+    except (ValueError, MemoryError):  # numpy refuses a size past what it can index
+        raise SimulationError(f"week {week}: cannot draw {n} injected messages") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,7 +286,7 @@ def run_simulation(
     injected = dict(clean)
     for week, n in sorted(schedule.pairs):  # inject()'s order: by week, no draw for 0
         if n:
-            picks = rng.integers(0, len(pool), size=n).tolist()
+            picks = _draws(rng, pool, week, n)
             probs = tuple(pool_probs[i] for i in picks if pool_probs[i] is not None)
             injected[week] = WeekScores(week, clean[week].total + n, clean[week].probs + probs)
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .classify import LabeledMessage
-from .corpus import Message, json_float, json_int, json_list, json_str, tokenize
+from .corpus import Message, json_float, json_int, json_list, json_str, json_value, tokenize
 from .corpus import tokenize_message
 from .query import GATE_QUERY, matches
 from .regress import logit, sigmoid
@@ -167,10 +167,7 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SynthError(f"bad config document: {exc}") from None
+        doc = json_value(text, SynthError, "bad config document")
         if not isinstance(doc, dict):
             raise SynthError("bad config document: expected a JSON object")
         known = {

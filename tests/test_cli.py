@@ -12,7 +12,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import ilitrack
@@ -588,6 +588,18 @@ def test_simulate_schedule_week_outside_corpus(work, tmp_path, capsys):
     assert "not present" in captured.err
 
 
+def test_simulate_count_past_numpys_largest_array_is_one_error_line(work, tmp_path, capsys):
+    # numpy refuses 10**30 draws before it allocates anything; never try a
+    # count it would really allocate.
+    count = 10**30
+    captured = run_fail(capsys, [
+        "simulate", "--messages", str(work["messages"]), "--ili", str(work["ili"]),
+        "--classifier", str(work["classifier"]), "--seed", "1", "--train-weeks", "1:6",
+        "--schedule", f'{{"pairs": [[6, {count}]]}}', "--out", str(tmp_path / "x"),
+    ])
+    assert captured.err == f"error: week 6: cannot draw {count} injected messages\n"
+
+
 # --- rerun ----------------------------------------------------------------------
 
 
@@ -672,6 +684,8 @@ BAD_CONTENTS = {
     "not json": b"not json {\n",
     "wrong json type": b'"label"\n',
     "empty": b"",
+    "json nested too deeply": b"[" * 100_000,  # json.loads raises RecursionError
+    "5000-digit integer": b'{"id": ' + b"9" * 5000 + b"}\n",  # past int()'s 4300 digits
 }
 
 
@@ -697,6 +711,12 @@ LOADERS = ("messages", "ili", "labeled", "classifier", "schedule file", "inline 
            "run.json", "synth config")
 CLASSIFIER_DOC = '{"vocabulary": {"flu": %s}, "theta": [0.0, 1.0], "l2_lambda": 1.0, ' \
     '"trained_on": "x", "converged": true}'
+# Six labeled messages of each class, on which classify trains.
+LABELED = [
+    {"id": f"m{i}", "timestamp": "2009-09-01T00:00:00Z", "author": "a",
+     "text": "flu fever" if i % 2 else "lunch", "label": i % 2}
+    for i in range(12)
+]
 # Integer fields hold JSON integers only: 1e400 reads as infinity, which
 # int() cannot convert, and int() would also round 1.5 and read true as 1.
 NOT_INTEGERS = {
@@ -707,6 +727,8 @@ NOT_INTEGERS = {
     ("synth config", "fractional weeks"): b'{"seed": 1, "weeks": 3.5}',
     ("classifier", "infinite index"): (CLASSIFIER_DOC % "1e400").encode(),
     ("classifier", "boolean index"): (CLASSIFIER_DOC % "true").encode(),
+    ("labeled", "fractional label"): "".join(
+        json.dumps(r | {"label": 1.0} if r["label"] else r) + "\n" for r in LABELED).encode(),
 }
 # Float fields hold finite JSON numbers and bool fields true or false:
 # float() would read "nan" and "0.5" and true, and bool() would read "no" as true.
@@ -727,6 +749,8 @@ NOT_STRINGS_OR_LISTS = {
     ("run.json", "number command"): b'{"command": 5, "argv": []}',
     ("run.json", "string argv"): b'{"command": "synth", "argv": "--seed 1"}',
     ("run.json", "number in argv"): b'{"command": "synth", "argv": ["--seed", 1]}',
+    ("run.json", "null character in argv"):
+        b'{"command": "synth", "argv": ["--seed", "1", "--config", "a\\u0000b"]}',
 }
 # Weeks reaching outside years 1 to 9999, where date arithmetic overflows.
 ILI_FROM_YEAR_1 = "week_ending,ili_pct\n" + "".join(
@@ -821,6 +845,110 @@ def test_damaged_messages_file_is_accepted_or_one_error_line(small, data):
         except CorpusError as exc:
             columnar = str(exc)
     assert columnar == kept
+    assert code in (0, 1)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == code and "Traceback" not in stderr.getvalue(), stderr.getvalue()
+
+
+# A tiny document each loader accepts: a list of records for the JSONL
+# loaders, one JSON value for the others. The ILI file, which is not JSON,
+# is work's own.
+VALID_DOCUMENTS = {
+    "messages": [
+        {"id": f"w{w}m{i}", "timestamp": f"{date(2009, 8, 26) + timedelta(weeks=w)}T12:00:00Z",
+         "author": "a", "text": "flu" if i < w else "lunch"}
+        for w in range(1, 7) for i in range(7)
+    ],
+    "labeled": LABELED,
+    "classifier": json.loads(CLASSIFIER_DOC % "1"),
+    "schedule file": {"pairs": [[6, 5]]},
+    "inline schedule": {"pairs": [[6, 5]]},
+    "run.json": {"command": "synth", "argv": ["--seed", "1", "--weeks", "2",
+                                              "--messages-per-week", "100", "--labeled-pos", "2",
+                                              "--labeled-neg", "2"]},
+    "synth config": {"seed": 1, "weeks": 2, "messages_per_week": 20, "ili_curve": [0.1, 0.2]},
+}
+# Stands in for a JSON token that json.dumps cannot write: 1e400.
+RAW_1E400 = "\x00 1e400"
+
+
+def places(value, at=()):
+    """The path of every value inside value (keys and indices), itself first."""
+    yield at
+    if isinstance(value, dict):
+        inside = value.items()
+    elif isinstance(value, list):
+        inside = enumerate(value)
+    else:
+        inside = ()
+    for key, child in inside:
+        yield from places(child, (*at, key))
+
+
+@st.composite
+def mutated(draw, loader, ili):
+    """The bytes of loader's valid document with one key or item dropped,
+    a value of another type or "nan", 1e400 or true in a number's place, a
+    value nested in a list, the bytes cut short or one byte replaced by a
+    byte that is not a digit. No count of weeks, messages or injections
+    can then grow past the valid document's: no digit is inserted, and the
+    numbers put in are floats, which integer fields reject. For the same
+    reason synth's messages_per_week is never dropped: it would fall back
+    to its default of 10,000 a week."""
+    kinds = ["truncate", "replace a byte"]
+    if loader == "ili":
+        content = ili
+    else:
+        doc = json.loads(json.dumps(VALID_DOCUMENTS[loader]))  # a copy to change
+        paths = [p for p in places(doc) if p and p[-1] != "messages_per_week"]
+        numbers = [p for p in paths if type(value_at(doc, p)) in (int, float)]
+        kinds += ["drop", "swap type", "nest"] + (["number"] if numbers else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("drop", "swap type", "number", "nest"):
+        path = draw(st.sampled_from(numbers if kind == "number" else paths))
+        parent, key = value_at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "swap type":
+            old = type(parent[key])
+            parent[key] = draw(st.sampled_from(
+                [v for v in (None, True, "x", 0.5, [], {}) if type(v) is not old]))
+        elif kind == "number":
+            parent[key] = draw(st.sampled_from(["nan", RAW_1E400, True]))
+        else:
+            parent[key] = [parent[key]]
+    if loader != "ili":
+        lines = doc if loader in ("messages", "labeled") else [doc]
+        content = "".join(json.dumps(v) + "\n" for v in lines)
+        content = content.replace(json.dumps(RAW_1E400), "1e400").encode()
+    if kind == "truncate":
+        content = content[: draw(st.integers(0, len(content) - 1))]
+    elif kind == "replace a byte":
+        at = draw(st.integers(0, len(content) - 1))
+        byte = draw(st.sampled_from([b for b in range(256) if b not in b"0123456789"]))
+        content = content[:at] + bytes([byte]) + content[at + 1:]
+    return content
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_inputs_are_accepted_or_one_error_line(work, data):
+    loader = data.draw(st.sampled_from(LOADERS))
+    content = data.draw(mutated(loader, work["ili"].read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(content)
+        argv = loader_argv(loader, path, work) + ["--out", str(Path(tmp) / "out")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)  # an uncaught exception fails the test
+    event(f"{loader}: exit {code}")
     assert code in (0, 1)
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     assert len(errors) == code and "Traceback" not in stderr.getvalue(), stderr.getvalue()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import tempfile
 from datetime import date, datetime, timedelta, timezone
@@ -558,6 +559,8 @@ FIRST_CHUNK = [
 # that the line number in the error matters.
 BAD_CORPORA = {
     "invalid json": [GOOD, "{broken"],
+    "json nested too deeply": [GOOD, "[" * 100_000],
+    "5000-digit integer": [GOOD, '{"id": ' + "9" * 5000 + "}"],
     "json list": [GOOD, '["a", "b"]'],
     "json string": [GOOD, '"label"'],
     "missing text": [GOOD, '{"id": "x", "timestamp": "2009-09-01T00:00:00Z", "author": "a"}'],
@@ -616,7 +619,8 @@ def columns(corpus):
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 def test_load_corpus_reads_again_when_id_hashes_collide(tmp_path, size):
     # Every id hashes alike, so load_corpus's check-only pass asks whether
-    # two ids are equal; with distinct ids it ends and the load goes on.
+    # two ids are equal; with distinct ids it ends and the load goes on
+    # with the columns already read.
     p = tmp_path / "msgs.jsonl"
     write_jsonl(p, [
         rec("a", "2009-09-02T00:00:00Z", text="plain flu", author="news"),
@@ -624,15 +628,31 @@ def test_load_corpus_reads_again_when_id_hashes_collide(tmp_path, size):
         rec("c", "2009-09-01T00:00:00Z", text="caf\u00e9 \U0001F600 flu", author="\u00e9"),
         rec("ab", "2009-09-10T00:00:00Z", text="the last line", author=""),
     ])
-    checked = corpus_module._checked
-    with mock.patch.object(corpus_module, "_checked", wraps=checked) as reread:
+    checked, read_rows = corpus_module._checked, corpus_module._read_rows
+    with mock.patch.object(corpus_module, "_checked", wraps=checked) as reread, \
+            mock.patch.object(corpus_module, "_read_rows", wraps=read_rows) as reads:
         expected = load_in_chunks(size, p, FIRST_END, 2)
         assert not reread.called
         with mock.patch.object(corpus_module, "_id_hash", collide):
             for shares in (1, 2):
                 assert columns(load_in_chunks(size, p, FIRST_END, 2, shares)) == columns(expected)
         assert reread.call_count == 2
+        assert reads.call_count == 3  # once per load
     assert ids(expected) == ["a", "c", "ab"]
+
+
+@pytest.mark.parametrize("name, cause", [
+    ("invalid json", "a rejected record"),
+    ("duplicate id", "1 repeated id hash(es)"),
+])
+def test_load_corpus_logs_the_cause_and_time_of_its_check_only_pass(tmp_path, caplog, name,
+                                                                     cause):
+    p = tmp_path / "msgs.jsonl"
+    p.write_text("\n".join(BAD_CORPORA[name]) + "\n", encoding="utf-8")
+    with caplog.at_level("INFO", logger="ilitrack.corpus"), pytest.raises(CorpusError):
+        load_corpus(p, FIRST_END, 2)
+    assert re.search(rf"msgs.jsonl: check-only pass for {re.escape(cause)}, \d+\.\d{{3}} s",
+                     caplog.text), caplog.text
 
 
 DUPLICATE_IDS = {name: lines for name, lines in BAD_CORPORA.items() if "duplicate" in name}

@@ -39,9 +39,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 # corpus kept every text and one author string per row, and 2.5x and
 # 2.8x (3.7x and 3.8x with the astral character) while it joined each
 # column across the whole file and kept one id string per row. With a
-# duplicate of line 1 appended, fraction's extra is 1.4x; it was 1.6x
-# while every row was kept, 2.0x before that, and 3.9x while the error
-# was found by building one Message per line.
+# duplicate of line 1 appended, fraction's extra is 1.4x, the clean
+# file's: the check-only pass runs beside the columns already read and
+# keeps the line numbers of the ids whose hash repeats only. It was 1.4x
+# too while the pass freed the columns and kept a line number per id (at
+# ten times the size it peaked at 5x the clean load), 1.6x while every
+# row was kept, 2.0x before that, and 3.9x while the error was found by
+# building one Message per line.
 BOUNDS = {"synth": 2.4, "fraction": 1.9, "simulate": 2.0}
 
 
