@@ -119,6 +119,11 @@ def _parse_week_range(text: str, name: str) -> tuple[int, int]:
     return a, b
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take no negative seed
+        raise CliError(f"--seed must be >= 0, got {seed}")
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,6 +134,7 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     if args.config:
         config = syn.SynthConfig.from_json(read_text(args.config, syn.SynthError))
         config = syn.replace(config, seed=args.seed)
@@ -365,6 +371,7 @@ def _fraction_argv(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     data = clf.load_labeled_jsonl(args.train)
     report = clf.cross_validate(
         data, k=args.folds, seed=args.seed, l2_lambda=args.l2_lambda
@@ -396,6 +403,7 @@ def _classify_argv(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     if bool(args.classifier) == bool(args.train):
         raise CliError("pass exactly one of --classifier or --train")
     query = parse_query(args.query)

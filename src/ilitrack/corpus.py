@@ -7,7 +7,6 @@ cadence of public ILI surveillance data.
 
 from __future__ import annotations
 
-import bisect
 import gc
 import itertools
 import json
@@ -385,21 +384,6 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
-    """The rows one chunk of the file kept, as strings with offsets. Row i's
-    normalize(text) is normalized[starts[i] : starts[i + 1] - 1], the rows
-    joined by "\n" (no row holds one of its own); its author is
-    authors[author_starts[i] : author_starts[i + 1]], its id likewise."""
-
-    normalized: str
-    starts: np.ndarray
-    authors: str
-    author_starts: np.ndarray
-    ids: str
-    id_starts: np.ndarray
-
-
 def _phrase_pattern(tokens: Sequence[str]) -> re.Pattern:
     """The regular expression that finds a phrase in a normalized text: its
     tokens, a token character on neither side, and runs of other
@@ -412,22 +396,29 @@ def _phrase_pattern(tokens: Sequence[str]) -> re.Pattern:
     return re.compile(pattern + f"(?![{_TOKEN_CHARS}])")
 
 
-def _rows_found(pattern: re.Pattern, normalized: str, starts: np.ndarray) -> np.ndarray:
-    """The row of each match of pattern in the normalized texts of rows
-    joined by newlines, row i starting at starts[i]; once per match."""
-    at = np.fromiter((m.start() for m in pattern.finditer(normalized)), np.int64)
-    return np.searchsorted(starts, at, side="right") - 1
+def _rows_found(patterns: Iterable[re.Pattern], normalized: str, starts: np.ndarray) -> np.ndarray:
+    """One bool per row of normalized texts joined by newlines, row i
+    starting at starts[i]: whether one of patterns matches in it."""
+    found = np.zeros(len(starts) - 1, dtype=bool)
+    for pattern in patterns:
+        at = np.fromiter((m.start() for m in pattern.finditer(normalized)), np.int64)
+        found[np.searchsorted(starts, at, side="right") - 1] = True
+    return found
 
 
 def _joined(pieces: list[str], sep: str = "") -> tuple[str, np.ndarray]:
-    """pieces joined by sep, piece i at offsets[i] : offsets[i + 1] -
-    len(sep). The offsets are int32 when the joined string allows: a
-    chunk's normalized text is bounded, but an author or id is not."""
+    """pieces joined by sep, piece i at offsets[i] : offsets[i + 1] - len(sep)."""
     offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, pieces), np.int64, len(pieces)) + len(sep), out=offsets[1:])
-    if offsets[-1] <= np.iinfo(np.int32).max:
-        offsets = offsets.astype(np.int32)
     return sep.join(pieces), offsets
+
+
+def _concatenated(runs: list[tuple[str, np.ndarray]], sep: str = "") -> tuple[str, np.ndarray]:
+    """_joined(pieces, sep) of every run's pieces, from _joined of each run:
+    their strs joined by sep, and their offsets shifted past the runs before."""
+    shifts = np.cumsum([0, *(offsets[-1] for _, offsets in runs)])
+    offsets = [np.zeros(1, np.int64), *(o[1:] + shift for (_, o), shift in zip(runs, shifts))]
+    return sep.join(text for text, _ in runs), np.concatenate(offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,10 +432,12 @@ class Corpus:
     rows a query whose bare terms are all among them can match.
 
     Rows are in file order. Row r was posted at POSIX second seconds[r];
-    week[r] is its 1-based week index. Its text, author and id are row
-    r - row0[b] of blocks[b], the last block with row0[b] <= r. Blocks are
-    never joined, so nothing copies every text at once, and a character
-    that a str stores in 2 or 4 bytes widens only its own block.
+    week[r] is its 1-based week index. Its normalize(text) is
+    normalized[starts[r] : starts[r + 1] - 1], the rows joined by "\n" (no
+    row holds one of its own); its author is authors[author_starts[r] :
+    author_starts[r + 1]], its id likewise. A str per row would add a
+    49-byte header to each. A character that a str stores in 2 or 4 bytes
+    widens its whole column, the rows of every chunk of the file alike.
 
     These columns are all that load_corpus keeps of the file. It keeps no
     text: matching, scoring (tokens) and simulate's spurious pool (tokens,
@@ -455,8 +448,12 @@ class Corpus:
     weeks: int
     seconds: np.ndarray
     week: np.ndarray
-    row0: tuple[int, ...]
-    blocks: tuple[Block, ...]
+    normalized: str
+    starts: np.ndarray
+    authors: str
+    author_starts: np.ndarray
+    ids: str
+    id_starts: np.ndarray
     week_totals: tuple[int, ...]
     phrases: frozenset[tuple[str, ...]] | None
 
@@ -470,37 +467,24 @@ class Corpus:
         """Number of messages in each week, weeks 1..weeks, rows kept or not."""
         return list(self.week_totals)
 
-    def _locate(self, r: int) -> tuple[Block, int]:
-        b = bisect.bisect_right(self.row0, r) - 1
-        return self.blocks[b], r - self.row0[b]
-
     def id(self, r: int) -> str:
-        block, i = self._locate(r)
-        return block.ids[block.id_starts[i] : block.id_starts[i + 1]]
+        return self.ids[self.id_starts[r] : self.id_starts[r + 1]]
 
     def author(self, r: int) -> str:
-        block, i = self._locate(r)
-        return block.authors[block.author_starts[i] : block.author_starts[i + 1]]
+        return self.authors[self.author_starts[r] : self.author_starts[r + 1]]
 
     def rows_with(self, tokens: Sequence[str]) -> np.ndarray:
         """One bool per row: whether tokens appear contiguously and in order
         in the row's tokens, the maximal runs of token characters in its
-        block's normalized text."""
-        found = _phrase_pattern(tokens)
-        rows = np.zeros(len(self), dtype=bool)
-        for row0, block in zip(self.row0, self.blocks):
-            rows[row0 + _rows_found(found, block.normalized, block.starts)] = True
-        return rows
+        normalized text."""
+        return _rows_found([_phrase_pattern(tokens)], self.normalized, self.starts)
 
     def tokens(self, rows: Iterable[int]) -> list[list[str]]:
         """tokenize(text) of each row's text, in (timestamp, id) order as
         bucket_weekly orders messages: a row's tokens are the maximal runs
-        of token characters in its part of its block's normalized text."""
+        of token characters in its normalized text."""
         ordered = sorted(map(int, rows), key=lambda r: (int(self.seconds[r]), self.id(r)))
-        return [
-            _TOKEN_RE.findall(block.normalized, *block.starts[i : i + 2])
-            for block, i in map(self._locate, ordered)
-        ]
+        return [_TOKEN_RE.findall(self.normalized, *self.starts[r : r + 2]) for r in ordered]
 
 
 def load_corpus(
@@ -514,29 +498,31 @@ def load_corpus(
     With phrases None, equivalent to bucket_weekly(ingest(path,
     date_range), first_week_end, weeks) with date_range spanning exactly
     those weeks: it keeps the same messages, and it rejects the same files
-    with the same CorpusError. With phrases, a sequence of token sequences,
-    it keeps only the messages whose tokens hold one of them contiguously
-    (Corpus.rows_with), and the same weekly totals. Every message a query
-    matches holds one of its bare terms, so a corpus read for those terms
-    gives that query the same match_rows, week_scores and spurious pool on
-    the rows it keeps, while its memory grows with those rows only.
+    with the same CorpusError; its normalized column then joins the text of
+    every message, so one wide character in any widens all of it. With
+    phrases, a sequence of token sequences, it keeps only the messages
+    whose tokens hold one of them contiguously (Corpus.rows_with), and the
+    same weekly totals. Every message a query matches holds one of its
+    bare terms, so a corpus read for those terms gives that query the same
+    match_rows, week_scores and spurious pool on the rows it keeps, while
+    its memory grows with those rows only.
 
     The file is read _CHUNK_CHARS characters at a time, each chunk ending
-    at the end of a line, and the rows each chunk keeps become one Block.
-    The chunks are dealt out in turn to up to _SHARES processes
-    (_read_rows), one when the file fits in one chunk. In each chunk, lines
-    in the layout messages_jsonl writes are read by one regular expression
-    and checked column by column, other lines are decoded one by one, the
-    rows of each week are counted, rows outside the weeks are dropped and
-    each text is normalized once; the text itself is not kept. The phrases
-    are then searched for in the chunk's normalized texts, and only the
-    rows holding one go into its Block. Ids must be unique across every
-    row read, dropped rows too; only the hash of each is kept, the one
-    column that grows with the file. When any check fails, a check-only
-    pass over the file (_checked, as ingest reads it) raises ingest's
-    error, naming the first bad line. When two hashes are equal, the pass
-    follows only the ids with those hashes: it raises on a true duplicate,
-    else the load goes on with the columns it has. No text is tokenized
+    at the end of a line, and the chunks are dealt out in turn to up to
+    _SHARES processes (_read_rows), one when the file fits in one chunk.
+    In each chunk, lines in the layout messages_jsonl writes are read by
+    one regular expression and checked column by column, other lines are
+    decoded one by one, the rows of each week are counted, rows outside
+    the weeks are dropped and each text is normalized once; the text
+    itself is not kept. The phrases are then searched for in the chunk's
+    normalized texts, and the rows holding one are joined into its columns,
+    which are concatenated once every chunk is read. Ids must be unique
+    across every row read, dropped rows too; only the hash of each is kept,
+    the one column that grows with the file, until the read ends. When
+    any check fails, a check-only pass over the file (_checked, as ingest
+    reads it) raises ingest's error, naming the first bad line. When two
+    hashes are equal, the pass follows only the ids with those hashes: it
+    raises on a true duplicate, else the load goes on. No text is tokenized
     here: a query finds its rows in the normalized text (Corpus.rows_with),
     and scoring tokenizes only the rows it scores (Corpus.tokens).
     """
@@ -549,20 +535,19 @@ def load_corpus(
     if read is None:
         _check_only(path, None, "a rejected record")
         raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-    hashes, totals, seconds, blocks = read
-    repeated = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    rows_read, repeated, totals, seconds, runs = read
     if repeated:
         _check_only(path, repeated, f"{len(repeated)} repeated id hash(es)")
-    row0 = tuple(np.cumsum([0, *(len(b.starts) - 1 for b in blocks)])[:-1].tolist())
-    corpus = Corpus(first_week_end, weeks, seconds, _week_of(seconds, first_week_end), row0,
-                    tuple(blocks), tuple(totals.tolist()), phrases)
-    sizes = [sum(sys.getsizeof(getattr(b, name)) for b in blocks)
-             for name in ("normalized", "authors", "ids")]
+    normalized, authors, ids = (_concatenated([run[i] for run in runs], sep)
+                                for i, sep in enumerate(("\n", "", "")))
+    corpus = Corpus(first_week_end, weeks, seconds, _week_of(seconds, first_week_end),
+                    *normalized, *authors, *ids, tuple(totals.tolist()), phrases)
     log.info(
         "load_corpus %s: %d rows read by %d process(es), %d in weeks 1..%d, %d kept for %s, "
-        "%d blocks holding %d normalized, %d author and %d id bytes, %.3f s",
-        path, len(hashes), shares, sum(corpus.week_totals), weeks, len(corpus),
-        "every row" if phrases is None else f"{len(phrases)} phrase(s)", len(blocks), *sizes,
+        "holding %d normalized, %d author and %d id bytes, %.3f s",
+        path, rows_read, shares, sum(corpus.week_totals), weeks, len(corpus),
+        "every row" if phrases is None else f"{len(phrases)} phrase(s)",
+        *map(sys.getsizeof, (corpus.normalized, corpus.authors, corpus.ids)),
         time.perf_counter() - began,
     )
     _warn_empty(corpus.totals())
@@ -615,9 +600,10 @@ def _read_rows(
     weeks: int,
     phrases: frozenset[tuple[str, ...]] | None,
     shares: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Block]] | None:
-    """The sorted _id_hash of the id of every row read, the number of rows
-    in each of weeks 1..weeks, and the POSIX seconds and the Blocks of the
+) -> tuple[int, set[int], np.ndarray, np.ndarray, list[tuple]] | None:
+    """The number of rows read, the _id_hash values that two or more of
+    their ids have, the number of rows in each of weeks 1..weeks, and the
+    POSIX seconds and, chunk by chunk, the columns (_read_share) of the
     rows of those weeks that hold one of the phrases (all of them when
     phrases is None); or None when some record is one that ingest rejects.
 
@@ -666,9 +652,10 @@ def _read_rows(
     del read
     hashes = np.concatenate([np.zeros(0, np.int64), *(p[0] for p in pieces)])
     hashes.sort()  # in place: a sorted copy would hold every hash a third time
+    repeated = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
     totals = sum((p[1] for p in pieces), np.zeros(weeks, np.int64))
     seconds = np.concatenate([np.zeros(0, np.int64), *(p[2] for p in pieces)])
-    return hashes, totals, seconds, [p[3] for p in pieces if p[3] is not None]
+    return len(hashes), repeated, totals, seconds, [p[3] for p in pieces if p[3] is not None]
 
 
 def _read_share(
@@ -678,13 +665,14 @@ def _read_share(
     phrases: frozenset[tuple[str, ...]] | None,
     share: int,
     shares: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Block | None] | None]:
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None] | None]:
     """For each chunk k of the file with k % shares == share, in order: the
     _id_hash of the id of every row it holds, the number of its rows in
-    each of weeks 1..weeks, and the POSIX seconds and the Block (None if
+    each of weeks 1..weeks, and the POSIX seconds and the columns (None if
     there are none) of its rows of those weeks that hold one of the
-    phrases, or of all of them when phrases is None. Yields None and stops
-    at a chunk holding a record that ingest rejects."""
+    phrases, or of all of them when phrases is None: _joined of their
+    normalized texts (by "\n"), of their authors and of their ids. Yields
+    None and stops at a chunk holding a record that ingest rejects."""
     patterns = None if phrases is None else [_phrase_pattern(p) for p in phrases]
     try:
         for chunk in itertools.islice(_chunks(path), share, None, shares):
@@ -702,17 +690,10 @@ def _read_share(
             # Each text normalized on its own: str.lower maps Σ by its neighbours.
             normalized = list(map(normalize, texts))
             if patterns is not None:
-                held = np.zeros(len(ids), dtype=bool)
-                joined, starts = _joined(normalized, "\n")
-                for pattern in patterns:
-                    held[_rows_found(pattern, joined, starts)] = True
-                del joined, starts
+                held = _rows_found(patterns, *_joined(normalized, "\n"))
                 seconds, ids, authors, normalized = _taken(held, seconds, ids, authors, normalized)
-            if not ids:
-                yield hashes, counts, seconds, None
-                continue
-            block = Block(*_joined(normalized, "\n"), *_joined(authors), *_joined(ids))
-            yield hashes, counts, seconds, block
+            kept = (_joined(normalized, "\n"), _joined(authors), _joined(ids)) if ids else None
+            yield hashes, counts, seconds, kept
     except UnicodeDecodeError:
         yield None  # the check-only pass names the line
 
@@ -724,9 +705,8 @@ def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
 
 
 def _send_share(writer, *share_args) -> None:
-    """In a forked child: send the pieces of _read_share(*share_args) in one
-    message. It holds the hash of every id the share read but only the rows
-    kept, so it is small when the load is for phrases."""
+    """In a forked child: send _read_share(*share_args) in one message, which
+    holds every id's hash but only the rows kept: little, for phrases."""
     writer.send(list(_read_share(*share_args)))
 
 

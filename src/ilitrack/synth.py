@@ -191,6 +191,8 @@ class SynthConfig:
             raise SynthError("config must set 'seed'")
         try:
             kwargs: dict = {"seed": json_int(doc["seed"])}
+            if kwargs["seed"] < 0:  # numpy's generators take no negative seed
+                raise ValueError(f"seed must be >= 0, got {kwargs['seed']}")
             if "weeks" in doc:
                 kwargs["weeks"] = json_int(doc["weeks"])
             if "messages_per_week" in doc:

@@ -220,7 +220,7 @@ def test_fraction_verbose_logs_load_and_match_on_stderr_only(work, tmp_path):
     assert quiet.stderr == ""
     loaded = re.search(
         r"^INFO ilitrack\.corpus: load_corpus \S+: 1500 rows read by 1 process\(es\), 1500 in "
-        r"weeks 1\.\.6, (\d+) kept for 4 phrase\(s\), 1 blocks holding \d+ normalized, \d+ "
+        r"weeks 1\.\.6, (\d+) kept for 4 phrase\(s\), holding \d+ normalized, \d+ "
         r"author and \d+ id bytes, [0-9.]+ s$",
         verbose.stderr, re.MULTILINE,
     )
@@ -770,13 +770,27 @@ BAD_TEMPLATES = {
                            ("named template field", b"flu {} {x}"),
                            ("stray template brace", b"flu { {}"))
 }
+# numpy's generators take no negative seed. The files a seeded command
+# reads are never opened: the seed is checked first.
+SEEDED_ARGV = {
+    "synth": ["--seed", "-1"],
+    "classify": ["--train", "labeled.jsonl", "--seed", "-1"],
+    "simulate": ["--messages", "m.jsonl", "--ili", "ili.csv", "--classifier", "c.json",
+                 "--seed", "-1"],
+}
+NEGATIVE_SEEDS = {
+    ("synth config", "negative seed"): b'{"seed": -1}',
+    **{("run.json", f"negative {command} seed"):
+       json.dumps({"command": command, "argv": argv}).encode()
+       for command, argv in SEEDED_ARGV.items()},
+}
 MALFORMED_CASES = [
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for loader in LOADERS for name, content in BAD_CONTENTS.items()),
     *(pytest.param(loader, content, id=f"{loader}-{name}")
       for (loader, name), content
       in (NOT_INTEGERS | NOT_NUMBERS_OR_BOOLS | NOT_STRINGS_OR_LISTS
-          | OUT_OF_RANGE_DATES | BAD_TEMPLATES).items()),
+          | OUT_OF_RANGE_DATES | BAD_TEMPLATES | NEGATIVE_SEEDS).items()),
 ]
 
 
@@ -790,6 +804,25 @@ def test_malformed_input_is_one_error_line(work, tmp_path, capsys, loader, conte
     assert len(errors) == 1 and "Traceback" not in captured.err, captured.err
     if content == BAD_CONTENTS["not utf-8"] and loader != "inline schedule":
         assert f"{path}: line 1: not valid UTF-8" in captured.err
+    if content in NEGATIVE_SEEDS.values():
+        assert "seed must be >= 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize("command", SEEDED_ARGV)
+def test_negative_seed_is_one_error_line(tmp_path, capsys, command):
+    argv = [command, *SEEDED_ARGV[command], "--out", str(tmp_path / "out")]
+    captured = run_fail(capsys, argv)
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_fraction_records_a_negative_seed(work, tmp_path, capsys):
+    # fraction draws nothing at random; its --seed is only recorded, so an
+    # old run.json that holds a negative one still replays.
+    argv = loader_argv("messages", work["messages"], work)
+    argv[argv.index("--seed") + 1] = "-1"
+    run_ok(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert "-1" in json.loads((tmp_path / "out" / "run.json").read_text())["argv"]
 
 
 @pytest.fixture(scope="module")

@@ -313,11 +313,11 @@ CHUNK_SIZES = (corpus_module._CHUNK_CHARS, 1, 37)
 READS = [*((size, 1) for size in CHUNK_SIZES), (corpus_module._CHUNK_CHARS, 2), (37, 2)]
 
 
-def load_in_chunks(size, path, first_week_end, weeks, shares=1):
+def load_in_chunks(size, path, first_week_end, weeks, shares=1, phrases=None):
     """load_corpus reading chunks of size characters in up to shares
     processes."""
     with mock.patch.multiple(corpus_module, _CHUNK_CHARS=size, _SHARES=shares):
-        return load_corpus(path, first_week_end, weeks)
+        return load_corpus(path, first_week_end, weeks, phrases)
 
 
 def weeks_range(weeks):
@@ -382,13 +382,11 @@ def test_load_corpus_tokens_equal_tokenize(texts):
         write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])
         corpus = load_corpus(p, FIRST_END, 1)
     assert ids(corpus) == [f"m{i}" for i in range(len(texts))]
-    # Each row's normalized text, in its block between its offset and the
-    # next row's "\n".
-    assert [
-        block.normalized[a : b - 1]
-        for block in corpus.blocks
-        for a, b in zip(block.starts.tolist(), block.starts.tolist()[1:])
-    ] == [normalize(t) for t in texts]
+    # Each row's normalized text, between its offset and the next row's "\n".
+    starts = corpus.starts.tolist()
+    assert [corpus.normalized[a : b - 1] for a, b in zip(starts, starts[1:])] == [
+        normalize(t) for t in texts
+    ]
     # One timestamp, so (timestamp, id) order is file order.
     assert corpus.tokens(range(len(texts))) == [tokenize(t) for t in texts]
 
@@ -417,7 +415,7 @@ def test_match_rows_equals_matches(texts, base, required, excluded):
         write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text=t) for i, t in enumerate(texts)])
         corpora = [load_in_chunks(size, p, FIRST_END, 1) for size in CHUNK_SIZES]
     expected = [matches(query, tmsg(t, id=f"m{i}")) for i, t in enumerate(texts)]
-    for corpus in corpora:  # one block, and one block per row or a few rows
+    for corpus in corpora:  # one chunk, and one chunk per row or a few rows
         assert match_rows(query, corpus).tolist() == expected, query.render()
 
 
@@ -469,7 +467,9 @@ def test_load_corpus_accepts_lines_in_other_layouts(tmp_path):
 def test_load_corpus_reads_alike_in_any_number_of_processes(tmp_path, caplog):
     # Lines in both layouts, some dated outside the weeks, some with
     # characters stored in 2 or 4 bytes: three chunks at the default size,
-    # and the first 100 lines, a chunk each, at the small sizes.
+    # and the first 100 lines, a chunk each, at the small sizes. Read for
+    # "flu", two lines in five are kept, so at the small sizes chunks that
+    # keep no row fall in every share.
     texts = ["x", "Flu \u0391\u03a3 caf\u00e9", "see https://x.y/_a now", "flu \U0001F600",
              "i've a_b"]
     lines = []
@@ -483,22 +483,21 @@ def test_load_corpus_reads_alike_in_any_number_of_processes(tmp_path, caplog):
         p.write_text("".join(lines if size == corpus_module._CHUNK_CHARS else lines[:100]),
                      encoding="utf-8")
 
-    def read(size, shares):
+    def read(size, shares, phrases):
         caplog.clear()
         with caplog.at_level("INFO", logger="ilitrack.corpus"):
-            corpus = load_in_chunks(size, files[size], FIRST_END, 2, shares)
+            corpus = load_in_chunks(size, files[size], FIRST_END, 2, shares, phrases)
         assert f"read by {shares} process(es)" in caplog.text
-        return corpus.seconds.tolist(), corpus.week.tolist(), corpus.row0, [
-            (b.normalized, b.starts.tolist(), b.authors, b.author_starts.tolist(),
-             b.ids, b.id_starts.tolist())
-            for b in corpus.blocks
-        ]
+        return (corpus.seconds.tolist(), corpus.week.tolist(), corpus.normalized,
+                corpus.starts.tolist(), corpus.authors, corpus.author_starts.tolist(),
+                corpus.ids, corpus.id_starts.tolist())
 
+    assert len(list(corpus_module._chunks(files[corpus_module._CHUNK_CHARS]))) >= 3
     for size in CHUNK_SIZES:
-        serial = read(size, 1)
-        assert len(serial[3]) > 2
-        for shares in (2, 3):
-            assert read(size, shares) == serial, (size, shares)
+        for phrases in (None, [("flu",)]):
+            serial = read(size, 1, phrases)
+            for shares in (2, 3):
+                assert read(size, shares, phrases) == serial, (size, shares, phrases)
 
 
 def test_load_corpus_names_the_exit_code_of_a_reader_that_dies(tmp_path):

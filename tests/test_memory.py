@@ -45,7 +45,11 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 # too while the pass freed the columns and kept a line number per id (at
 # ten times the size it peaked at 5x the clean load), 1.6x while every
 # row was kept, 2.0x before that, and 3.9x while the error was found by
-# building one Message per line.
+# building one Message per line. Since the kept rows are one set of
+# columns, concatenated from each chunk's once the read ends, the extra
+# is 1.38x for fraction, 1.37x for simulate, 1.35x for both with the
+# astral character and 1.39x with the duplicate (2 runs each); it was
+# 1.37x, 1.40x, 1.35-1.37x and 1.36-1.37x with one block per chunk.
 BOUNDS = {"synth": 2.4, "fraction": 1.9, "simulate": 2.0}
 
 
