@@ -637,6 +637,97 @@ def test_rerun_simulate_byte_identical(work, tmp_path, capsys):
     assert read_tree(a) == read_tree(b)
 
 
+# Each case: a command, the flags it is given (in no particular order) and
+# the argv its run.json must record, with the files of `work` and the
+# test's own config and schedule files filled in. run.json holds the flags
+# in the order the subcommand declares them, without --out, without an
+# unset flag or an empty optional one, and with floats written by repr.
+RECORDED_ARGV = {
+    "synth config": (
+        "synth",
+        ["--labeled-neg", "3", "--config", "{config}", "--seed", "3", "--labeled-pos", "4"],
+        ["--seed", "3", "--config", "{config}", "--labeled-pos", "4", "--labeled-neg", "3"],
+    ),
+    "synth noise-sd 0": (
+        "synth",
+        ["--noise-sd", "0", "--seed", "2", "--weeks", "3", "--messages-per-week", "60",
+         "--labeled-pos", "4", "--labeled-neg", "3"],
+        ["--seed", "2", "--weeks", "3", "--messages-per-week", "60", "--noise-sd", "0.0",
+         "--labeled-pos", "4", "--labeled-neg", "3"],
+    ),
+    "fraction plain with a classifier": (
+        "fraction",
+        ["--classifier", "{classifier}", "--seed", "0", "--mode", "plain",
+         "--eval-weeks", "5:6", "--train-weeks", "1:4", "--query", "flu",
+         "--ili", "{ili}", "--messages", "{messages}"],
+        ["--messages", "{messages}", "--ili", "{ili}", "--query", "flu", "--mode", "plain",
+         "--seed", "0", "--train-weeks", "1:4", "--eval-weeks", "5:6",
+         "--classifier", "{classifier}"],
+    ),
+    "fraction empty flags and a negative seed": (
+        "fraction",
+        ["--messages", "{messages}", "--ili", "{ili}", "--query", QUERY, "--seed", "-3",
+         "--train-weeks", "", "--classifier", "", "--eval-weeks", "5:6"],
+        ["--messages", "{messages}", "--ili", "{ili}", "--query", QUERY, "--mode", "plain",
+         "--seed", "-3", "--eval-weeks", "5:6"],
+    ),
+    "fraction soft": (
+        "fraction",
+        ["--mode", "soft", "--classifier", "{classifier}", "--messages", "{messages}",
+         "--ili", "{ili}", "--query", QUERY, "--seed", "1", "--train-weeks", "1:4",
+         "--eval-weeks", "5:6"],
+        ["--messages", "{messages}", "--ili", "{ili}", "--query", QUERY, "--mode", "soft",
+         "--seed", "1", "--train-weeks", "1:4", "--eval-weeks", "5:6",
+         "--classifier", "{classifier}"],
+    ),
+    "classify lambda": (
+        "classify",
+        ["--lambda", "0.5", "--seed", "1", "--folds", "3", "--train", "{labeled}"],
+        ["--train", "{labeled}", "--folds", "3", "--lambda", "0.5", "--seed", "1"],
+    ),
+    "simulate schedule file and empty flags": (
+        "simulate",
+        ["--schedule", "{schedule}", "--train", "{labeled}", "--classifier", "",
+         "--train-weeks", "", "--lambda", "2", "--seed", "4", "--messages", "{messages}",
+         "--ili", "{ili}"],
+        ["--messages", "{messages}", "--ili", "{ili}", "--query", ilitrack.GATE_QUERY_TEXT,
+         "--seed", "4", "--lambda", "2.0", "--schedule", "{schedule}", "--train", "{labeled}"],
+    ),
+    "simulate classifier": (
+        "simulate",
+        ["--classifier", "{classifier}", "--query", "flu", "--seed", "0",
+         "--schedule", '{{"pairs": [[6, 30]]}}', "--train-weeks", "1:5",
+         "--messages", "{messages}", "--ili", "{ili}"],
+        ["--messages", "{messages}", "--ili", "{ili}", "--query", "flu", "--seed", "0",
+         "--lambda", "1.0", "--train-weeks", "1:5", "--schedule", '{{"pairs": [[6, 30]]}}',
+         "--classifier", "{classifier}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_ARGV)
+def test_run_json_records_the_declared_flags_and_replays(work, tmp_path, capsys, case):
+    from ilitrack.synth import SynthConfig, default_ili_curve
+
+    files = {name: str(work[name]) for name in ("messages", "ili", "labeled", "classifier")}
+    files["config"] = str(tmp_path / "config.json")
+    files["schedule"] = str(tmp_path / "schedule.json")
+    (tmp_path / "config.json").write_text(
+        SynthConfig(seed=999, weeks=3, messages_per_week=60,
+                    ili_curve=default_ili_curve(3)).to_json(),
+        encoding="utf-8",
+    )
+    (tmp_path / "schedule.json").write_text('{"pairs": [[5, 20]]}\n', encoding="utf-8")
+    command, given, recorded = RECORDED_ARGV[case]
+    a = tmp_path / "a"
+    run_ok(capsys, [command, *(flag.format(**files) for flag in given), "--out", str(a)])
+    doc = json.loads((a / "run.json").read_text(encoding="utf-8"))
+    assert doc == {"command": command, "argv": [flag.format(**files) for flag in recorded]}
+    b = tmp_path / "b"
+    run_ok(capsys, ["rerun", "--run", str(a / "run.json"), "--out", str(b)])
+    assert read_tree(a) == read_tree(b)
+
+
 def test_rerun_rejects_bad_run_files(tmp_path, capsys):
     p = tmp_path / "run.json"
     p.write_text('{"command": "format-disk", "argv": []}\n', encoding="utf-8")
