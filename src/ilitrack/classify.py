@@ -443,15 +443,29 @@ class WeekScores:
         return len(self.probs) / n, math.fsum(self.probs) / n, self.kept / n
 
 
-def week_scores(matched: np.ndarray, corpus: Corpus, model: ClassifierModel) -> list[WeekScores]:
+def week_scores(
+    matched: np.ndarray, corpus: Corpus, model: ClassifierModel | None
+) -> list[WeekScores]:
     """WeekScores of weeks 1..corpus.weeks for a query whose match_rows are
-    matched. Each matching row is scored once, from its tokens."""
-    probs = [score_tokens(model, tokens) for tokens in corpus.tokens(np.flatnonzero(matched))]
+    matched. Each matching row is scored once, from its tokens. With no
+    model every match keeps probability 1.0, which is the keywords method,
+    and no row's tokens are read."""
+    totals = corpus.totals()
+    empty = [w for w, total in enumerate(totals, start=1) if total == 0]
+    if empty:
+        raise ClassifierError(
+            "cannot compute fractions over empty week bucket(s): " + ", ".join(map(str, empty))
+        )
+    rows = np.flatnonzero(matched)
+    if model is None:
+        probs = [1.0] * len(rows)
+    else:
+        probs = [score_tokens(model, tokens) for tokens in corpus.tokens(rows)]
     # Weeks ascend in time order: week w's matches are probs[ends[w - 1] : ends[w]].
     ends = np.cumsum(np.bincount(corpus.week[matched], minlength=corpus.weeks + 1)).tolist()
     return [
         WeekScores(w, total, tuple(probs[ends[w - 1] : ends[w]]))
-        for w, total in enumerate(corpus.totals(), start=1)
+        for w, total in enumerate(totals, start=1)
     ]
 
 

@@ -10,9 +10,13 @@ Subcommands:
     rerun      repeat a previous run from its run.json; outputs are
                byte-identical for equal inputs
 
-Every data-producing subcommand takes --seed and --out, and records its
-effective parameters in <out>/run.json. Errors exit 1 with a single
-"error: ..." line on stderr.
+Every data-producing subcommand takes --seed and --out. It records its
+flags in <out>/run.json in the order the subcommand declares them: each
+flag but --out that holds a value, except an empty optional one, with
+floats written by repr. fraction and simulate take their plain, soft and
+hard weekly series from the library (classify.week_scores, then
+simulate.method_series). Errors exit 1 with a single "error: ..." line
+on stderr.
 """
 
 from __future__ import annotations
@@ -42,16 +46,13 @@ from .query import (
     Query,
     QueryError,
     QueryParseError,
-    corpus_fraction_series,
     match_rows,
     parse_query,
 )
 from .regress import (
     DegenerateFitError,
     RegressionError,
-    RegressionModel,
     WeeklySeries,
-    clamp_fraction,
     fit,
     logit,
     mse,
@@ -64,6 +65,7 @@ from .simulate import (
     InjectionSchedule,
     SimulationError,
     corpus_spurious_pool,
+    fractions_csv,
     method_series,
     mse_vs_baseline,
     report_csv,
@@ -84,6 +86,10 @@ _ERRORS = (
 )
 
 
+# fraction's --mode for each of METHODS, in the same order.
+_MODES = ("plain", "soft", "hard")
+
+
 class CliError(ValueError):
     """Bad flag combinations or inputs the library layer cannot see."""
 
@@ -101,12 +107,21 @@ def _write(path: Path, text: str | Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-def _write_run(out: Path, command: str, argv: list[str]) -> None:
+def _write_run(out: Path, command: str, args: argparse.Namespace) -> None:
+    """Record the run's flags in the order its subcommand declares them:
+    each one but --out and --help that holds a value, leaving out an empty
+    value of a flag that is not required. Floats are written with repr."""
+    argv = []
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        if action.dest in ("out", "help") or value is None or (value == "" and not action.required):
+            continue
+        argv += [action.option_strings[0], repr(value) if isinstance(value, float) else str(value)]
     doc = {"command": command, "argv": argv}
     _write(out / "run.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _parse_week_range(text: str, name: str) -> tuple[int, int]:
+def _parse_week_range(text: str, name: str, least: int) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
         raise CliError(f"{name} must look like A:B, got {text!r}")
@@ -116,6 +131,8 @@ def _parse_week_range(text: str, name: str) -> tuple[int, int]:
         raise CliError(f"{name} must look like A:B with integers, got {text!r}") from None
     if a < 1 or b < a:
         raise CliError(f"{name}: need 1 <= A <= B, got {text!r}")
+    if b - a + 1 < least:
+        raise CliError(f"{name}: need at least {least} weeks, got {text!r}")
     return a, b
 
 
@@ -160,7 +177,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _write(out / "truth.json", truth.to_json())
     _write(out / "labeled.jsonl", syn.labeled_jsonl(labeled))
     _write(out / "config.json", config.to_json())
-    _write_run(out, "synth", _synth_argv(args))
+    _write_run(out, "synth", args)
     log.info(
         "synth: %d bytes written to messages.jsonl; generate_corpus %.3f s, "
         "generate_labeled %.3f s, messages.jsonl %.3f s, other files %.3f s",
@@ -172,20 +189,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         f"{len(labeled)} labeled, to {out}"
     )
     return 0
-
-
-def _synth_argv(args: argparse.Namespace) -> list[str]:
-    argv = ["--seed", str(args.seed)]
-    if args.config:
-        argv += ["--config", str(args.config)]
-    if args.weeks is not None:
-        argv += ["--weeks", str(args.weeks)]
-    if args.messages_per_week is not None:
-        argv += ["--messages-per-week", str(args.messages_per_week)]
-    if args.noise_sd is not None:
-        argv += ["--noise-sd", repr(args.noise_sd)]
-    argv += ["--labeled-pos", str(args.labeled_pos), "--labeled-neg", str(args.labeled_neg)]
-    return argv
 
 
 # --- shared corpus loading ---------------------------------------------------
@@ -213,7 +216,7 @@ def _load_weekly(messages_path: str, ili_path: str, queries: Sequence[Query]):
 
 def _train_range(args: argparse.Namespace, n_weeks: int) -> list[int]:
     if args.train_weeks:
-        a, b = _parse_week_range(args.train_weeks, "--train-weeks")
+        a, b = _parse_week_range(args.train_weeks, "--train-weeks", 3)  # for the fit
     else:
         a, b = 1, min(20, n_weeks)
         if n_weeks < 4:
@@ -229,7 +232,7 @@ def _train_range(args: argparse.Namespace, n_weeks: int) -> list[int]:
 
 def _eval_range(args: argparse.Namespace, n_weeks: int) -> list[int]:
     if args.eval_weeks:
-        c, d = _parse_week_range(args.eval_weeks, "--eval-weeks")
+        c, d = _parse_week_range(args.eval_weeks, "--eval-weeks", 2)  # for a correlation
     else:
         if n_weeks < 22:
             raise CliError(
@@ -244,32 +247,6 @@ def _eval_range(args: argparse.Namespace, n_weeks: int) -> list[int]:
     return list(range(c, d + 1))
 
 
-def _series_by_mode(args, query, corpus, classifier):
-    """Weekly fraction series for the chosen mode, plus csv rows."""
-    if args.mode == "plain":
-        series = corpus_fraction_series(query, corpus)
-        matched, totals, values = series.match_counts, series.totals, series.values
-    else:
-        scores = clf.week_scores(match_rows(query, corpus), corpus, classifier)
-        totals = [s.total for s in scores]
-        if args.mode == "soft":
-            values = [s.fractions()[1] for s in scores]
-            matched = [v * t for v, t in zip(values, totals)]
-        else:
-            values = [s.fractions()[2] for s in scores]
-            matched = [s.kept for s in scores]
-    weeks = range(1, corpus.weeks + 1)
-    rows = ["week_index,end_date,matches,total,fraction"] + [
-        f"{w},{end.isoformat()},{m!r},{t},{v!r}"
-        for w, end, m, t, v in zip(weeks, corpus.end_dates(), matched, totals, values)
-    ]
-    series = WeeklySeries(
-        week_indices=tuple(weeks),
-        values=tuple(clamp_fraction(v, t) for v, t in zip(values, totals)),
-    )
-    return series, "\n".join(rows) + "\n"
-
-
 def cmd_fraction(args: argparse.Namespace) -> int:
     if args.mode in ("soft", "hard") and not args.classifier:
         raise CliError(f"--mode {args.mode} requires --classifier")
@@ -278,10 +255,14 @@ def cmd_fraction(args: argparse.Namespace) -> int:
     ili_rows, ili, corpus = _load_weekly(args.messages, args.ili, [query])
     train_weeks = _train_range(args, len(ili_rows))
     eval_weeks = _eval_range(args, len(ili_rows))
-    fractions, csv_text = _series_by_mode(args, query, corpus, classifier)
+    scores = clf.week_scores(
+        match_rows(query, corpus), corpus, None if args.mode == "plain" else classifier
+    )
+    method = METHODS[_MODES.index(args.mode)]
+    fractions = method_series(scores)[method]
     out = _out_dir(args)
-    _write(out / "fractions.csv", csv_text)
-    _write_run(out, "fraction", _fraction_argv(args))
+    _write(out / "fractions.csv", fractions_csv(scores, corpus.end_dates(), method))
+    _write_run(out, "fraction", args)
 
     try:
         model = fit(fractions, ili, train_weeks)
@@ -350,23 +331,6 @@ def _estimate_summary(args, query, model, ili, estimates, train_weeks, eval_week
     }
 
 
-def _fraction_argv(args: argparse.Namespace) -> list[str]:
-    argv = [
-        "--messages", str(args.messages),
-        "--ili", str(args.ili),
-        "--query", args.query,
-        "--mode", args.mode,
-        "--seed", str(args.seed),
-    ]
-    if args.train_weeks:
-        argv += ["--train-weeks", args.train_weeks]
-    if args.eval_weeks:
-        argv += ["--eval-weeks", args.eval_weeks]
-    if args.classifier:
-        argv += ["--classifier", str(args.classifier)]
-    return argv
-
-
 # --- classify ----------------------------------------------------------------
 
 
@@ -380,7 +344,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     _write(out / "classifier.json", model.to_json())
     _write(out / "cv_report.json", report.to_json())
-    _write_run(out, "classify", _classify_argv(args))
+    _write_run(out, "classify", args)
     print(
         f"trained on {len(data)} labeled messages "
         f"({sum(lm.label for lm in data)} positive), vocabulary "
@@ -388,15 +352,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
     print(report.table())
     return 0
-
-
-def _classify_argv(args: argparse.Namespace) -> list[str]:
-    return [
-        "--train", str(args.train),
-        "--folds", str(args.folds),
-        "--lambda", repr(args.l2_lambda),
-        "--seed", str(args.seed),
-    ]
 
 
 # --- simulate ----------------------------------------------------------------
@@ -433,7 +388,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     _write(out / "simulation.csv", report_csv(report))
     _write(out / "simulation_summary.json", summary_json(report, pool, args.seed))
-    _write_run(out, "simulate", _simulate_argv(args))
+    _write_run(out, "simulate", args)
     drift = mse_vs_baseline(report)
     for name in METHODS:
         print(f"{name:<14} mse={drift[name]:.6g} pp^2")
@@ -454,25 +409,6 @@ def _load_schedule(arg: str) -> InjectionSchedule:
             f"--schedule {arg!r} is neither a file nor inline JSON "
             '(expected {"pairs": [[week, count], ...]})'
         ) from None
-
-
-def _simulate_argv(args: argparse.Namespace) -> list[str]:
-    argv = [
-        "--messages", str(args.messages),
-        "--ili", str(args.ili),
-        "--query", args.query,
-        "--seed", str(args.seed),
-        "--lambda", repr(args.l2_lambda),
-    ]
-    if args.train_weeks:
-        argv += ["--train-weeks", args.train_weeks]
-    if args.schedule is not None:
-        argv += ["--schedule", str(args.schedule)]
-    if args.classifier:
-        argv += ["--classifier", str(args.classifier)]
-    if args.train:
-        argv += ["--train", str(args.train)]
-    return argv
 
 
 # --- rerun -------------------------------------------------------------------
@@ -512,6 +448,8 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
         description="Estimate weekly ILI rates from short-text message streams.",
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
+    # Each command's parser is kept in its namespace: _write_run records the
+    # flags in the order they are declared here.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known truth")
@@ -523,7 +461,7 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--noise-sd", type=float, help="sd of noise on logit(fraction), default 0")
     p.add_argument("--labeled-pos", type=int, default=160, help="labeled positives (default 160)")
     p.add_argument("--labeled-neg", type=int, default=46, help="labeled negatives (default 46)")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, parser=p)
 
     p = sub.add_parser("fraction", help="weekly query fractions + regression estimates")
     p.add_argument("--messages", required=True, help="corpus JSONL file")
@@ -531,30 +469,30 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--query", required=True, help="keyword query text")
     p.add_argument("--out", required=True)
     p.add_argument(
+        "--mode",
+        choices=_MODES,
+        default="plain",
+        help="fraction kind: raw keyword match, probability-weighted, or thresholded",
+    )
+    p.add_argument(
         "--seed", required=True, type=int,
         help="recorded in run.json only; nothing in this command is random",
     )
     p.add_argument("--train-weeks", help="inclusive week range A:B (default 1:20)")
     p.add_argument("--eval-weeks", help="inclusive week range A:B (default 21:last)")
-    p.add_argument(
-        "--mode",
-        choices=("plain", "soft", "hard"),
-        default="plain",
-        help="fraction kind: raw keyword match, probability-weighted, or thresholded",
-    )
     p.add_argument("--classifier", help="classifier.json (required for soft/hard)")
-    p.set_defaults(func=cmd_fraction)
+    p.set_defaults(func=cmd_fraction, parser=p)
 
     p = sub.add_parser("classify", help="train and cross-validate the match classifier")
     p.add_argument("--train", required=True, help="labeled JSONL file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", required=True, type=int)
     p.add_argument("--folds", type=int, default=10, help="CV folds (default 10)")
     p.add_argument(
         "--lambda", dest="l2_lambda", type=float, default=1.0,
         help="L2 penalty on non-bias weights (default 1.0)",
     )
-    p.set_defaults(func=cmd_classify)
+    p.add_argument("--seed", required=True, type=int)
+    p.set_defaults(func=cmd_classify, parser=p)
 
     p = sub.add_parser("simulate", help="spurious-injection robustness simulation")
     p.add_argument("--messages", required=True)
@@ -562,6 +500,10 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     p.add_argument("--query", default=GATE_QUERY_TEXT, help="keyword query (default: gate query)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", required=True, type=int)
+    p.add_argument(
+        "--lambda", dest="l2_lambda", type=float, default=1.0,
+        help="L2 penalty when training via --train (default 1.0)",
+    )
     p.add_argument("--train-weeks", help="regression fit range A:B (default 1:20)")
     p.add_argument(
         "--schedule",
@@ -570,11 +512,7 @@ def build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.Argum
     )
     p.add_argument("--classifier", help="pretrained classifier.json")
     p.add_argument("--train", help="labeled JSONL to train a classifier now")
-    p.add_argument(
-        "--lambda", dest="l2_lambda", type=float, default=1.0,
-        help="L2 penalty when training via --train (default 1.0)",
-    )
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("rerun", help="repeat a recorded run into a new directory")
     p.add_argument("--run", required=True, help="path to a run.json")

@@ -437,24 +437,3 @@ def match_rows(query: Query, corpus: Corpus) -> np.ndarray:
     )
     return rows
 
-
-def corpus_fraction_series(query: Query, corpus: Corpus) -> QueryFractionSeries:
-    """query_fraction_series over the corpus's weeks, counted from
-    match_rows instead of one matches() call per message."""
-    totals = corpus.totals()
-    empty = [w for w, total in enumerate(totals, start=1) if total == 0]
-    if empty:
-        raise QueryError(
-            "cannot compute fractions over empty week bucket(s): "
-            + ", ".join(map(str, empty))
-        )
-    hits = corpus.week[match_rows(query, corpus)]
-    counts = np.bincount(hits, minlength=corpus.weeks + 1)[1:].tolist()
-    return QueryFractionSeries(
-        query=query,
-        week_indices=tuple(range(1, corpus.weeks + 1)),
-        end_dates=tuple(corpus.end_dates()),
-        match_counts=tuple(counts),
-        totals=tuple(totals),
-        values=tuple(c / t for c, t in zip(counts, totals)),
-    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from datetime import datetime, time, timezone
+from datetime import date, datetime, time, timezone
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -251,6 +251,19 @@ def method_series(scores: Sequence[WeekScores]) -> dict[str, WeeklySeries]:
         name: WeeklySeries(weeks, tuple(clamp_fraction(f, s.total) for f, s in zip(column, scores)))
         for name, column in zip(METHODS, columns)
     }
+
+
+def fractions_csv(scores: Sequence[WeekScores], end_dates: Iterable[date], method: str) -> str:
+    """One method's weekly fractions as CSV, unclamped. Its matches column
+    counts the matches, sums their probabilities (classify-soft) or counts
+    the kept ones (classify-hard)."""
+    i = METHODS.index(method)
+    rows = ["week_index,end_date,matches,total,fraction"]
+    for s, end in zip(scores, end_dates):
+        fraction = s.fractions()[i]
+        count = (len(s.probs), fraction * s.total, s.kept)[i]
+        rows.append(f"{s.week_index},{end.isoformat()},{count!r},{s.total},{fraction!r}")
+    return "\n".join(rows) + "\n"
 
 
 def run_simulation(

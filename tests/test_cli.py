@@ -358,6 +358,28 @@ def test_fraction_week_range_validation(work, tmp_path, capsys):
     assert "--eval-weeks" in captured.err
 
 
+@pytest.mark.parametrize("command, flag, weeks, least", [
+    ("fraction", "--train-weeks", "1:1", 3),
+    ("fraction", "--train-weeks", "2:3", 3),
+    ("fraction", "--eval-weeks", "6:6", 2),
+    ("simulate", "--train-weeks", "1:2", 3),
+])
+def test_too_short_week_ranges_are_rejected_before_any_output(
+    work, tmp_path, capsys, command, flag, weeks, least
+):
+    out = tmp_path / "x"
+    out.mkdir()
+    data = ["--messages", str(work["messages"]), "--ili", str(work["ili"]), "--seed", "0"]
+    if command == "fraction":
+        argv = [command, *data, "--query", QUERY, "--train-weeks", "1:4", "--eval-weeks", "5:6"]
+    else:
+        argv = [command, *data, "--train", str(work["labeled"])]
+    # The last value given for a flag is the one argparse keeps.
+    captured = run_fail(capsys, [*argv, flag, weeks, "--out", str(out)])
+    assert captured.err == f"error: {flag}: need at least {least} weeks, got {weeks!r}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_fraction_missing_file_is_one_error_line(work, tmp_path, capsys):
     captured = run_fail(capsys, [
         "fraction", "--messages", str(tmp_path / "nope.jsonl"),
@@ -429,17 +451,27 @@ def test_fraction_rejects_bad_corpus_lines_with_ingest_error(tmp_path, capsys, b
     assert captured.err == f"error: {reference.value}\n"
 
 
-def test_fraction_rejects_an_empty_week(tmp_path, capsys):
+def test_fraction_rejects_an_empty_week(work, tmp_path, capsys):
     mp = tmp_path / "m.jsonl"
-    mp.write_text("\n".join(corpus_lines([1, 15, 22])) + "\n", encoding="utf-8")
+    mp.write_text("\n".join(corpus_lines([1, 15])) + "\n", encoding="utf-8")
     ip = tmp_path / "ili.csv"
     ip.write_text(ILI_4_WEEKS, encoding="utf-8")
-    captured = run_fail(capsys, [
-        "fraction", "--messages", str(mp), "--ili", str(ip), "--query", "flu",
-        "--seed", "0", "--train-weeks", "1:4", "--eval-weeks", "1:4",
-        "--out", str(tmp_path / "x"),
-    ])
-    assert captured.err == "error: cannot compute fractions over empty week bucket(s): 2\n"
+    data = ["--messages", str(mp), "--ili", str(ip), "--seed", "0", "--train-weeks", "1:4"]
+    # Every mode, and simulate, names every empty week before it writes anything.
+    for argv in (
+        ["fraction", *data, "--query", "flu", "--eval-weeks", "1:4"],
+        ["fraction", *data, "--query", "flu", "--eval-weeks", "1:4", "--mode", "soft",
+         "--classifier", str(work["classifier"])],
+        ["fraction", *data, "--query", "flu", "--eval-weeks", "1:4", "--mode", "hard",
+         "--classifier", str(work["classifier"])],
+        ["simulate", *data, "--classifier", str(work["classifier"])],
+        ["simulate", *data, "--train", str(work["labeled"])],
+    ):
+        captured = run_fail(capsys, [*argv, "--out", str(tmp_path / "x")])
+        assert captured.err == (
+            "error: cannot compute fractions over empty week bucket(s): 2, 4\n"
+        ), argv
+        assert not (tmp_path / "x").exists()
 
 
 # --- classify -------------------------------------------------------------------

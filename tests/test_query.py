@@ -12,8 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilitrack import corpus as corpus_module
-from ilitrack.classify import ClassifierModel, bucket_fractions, predict_proba, week_scores
-from ilitrack.corpus import WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
+from ilitrack.classify import (
+    ClassifierError,
+    ClassifierModel,
+    bucket_fractions,
+    predict_proba,
+    week_scores,
+)
+from ilitrack.corpus import Corpus, WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
 from ilitrack.query import (
     GATE_QUERY,
     GATE_QUERY_TEXT,
@@ -23,7 +29,6 @@ from ilitrack.query import (
     QueryFractionSeries,
     QueryParseError,
     Term,
-    corpus_fraction_series,
     count_matches,
     match_rows,
     matches,
@@ -448,7 +453,14 @@ def test_columnar_matching_agrees_with_matches(query, weeks_of_texts):
     for b in buckets:
         for tm in b.messages:
             assert rows[tm.message.id] == matches(query, tm), (tm.tokens, query.render())
-    assert corpus_fraction_series(query, corpus) == query_fraction_series(query, buckets)
+    # With no model, week_scores gives the keywords counts without scoring a row.
+    with mock.patch.object(Corpus, "tokens", side_effect=AssertionError("a row was read")):
+        scores = week_scores(match_rows(query, corpus), corpus, None)
+    oracle = query_fraction_series(query, buckets)
+    assert [(s.week_index, len(s.probs), s.total, s.fractions()[0]) for s in scores] == list(
+        zip(oracle.week_indices, oracle.match_counts, oracle.totals, oracle.values)
+    )
+    assert all(p == 1.0 for s in scores for p in s.probs)
 
 
 def test_columnar_phrase_never_straddles_messages(tmp_path):
@@ -475,12 +487,12 @@ def test_columnar_matching_at_token_edges(tmp_path):
     assert corpus.rows_with(("flu", "http")).tolist() == [True, False, False, False, False]
 
 
-def test_corpus_fraction_series_rejects_empty_weeks_like_the_oracle(tmp_path):
+def test_week_scores_rejects_empty_weeks_like_the_oracle(tmp_path):
     p = tmp_path / "msgs.jsonl"
     write_weeks(p, [["flu"], [], ["cough"], []])
     corpus = load_corpus(p, SAT1, 4)
-    with pytest.raises(QueryError) as columnar:
-        corpus_fraction_series(GATE_QUERY, corpus)
+    with pytest.raises(ClassifierError) as columnar:
+        week_scores(match_rows(GATE_QUERY, corpus), corpus, None)
     with pytest.raises(QueryError) as oracle:
         query_fraction_series(GATE_QUERY, reference_buckets(p, 4))
     assert str(columnar.value) == str(oracle.value)
@@ -567,7 +579,9 @@ def test_a_corpus_read_for_the_bare_terms_equals_the_whole_corpus_on_its_rows(
         assert corpus.seconds.tolist() == full.seconds[kept].tolist()
         assert corpus.totals() == full.totals()
         assert match_rows(query, corpus).tolist() == matched[kept].tolist()
-        assert corpus_fraction_series(query, corpus) == corpus_fraction_series(query, full)
+        assert week_scores(match_rows(query, corpus), corpus, None) == week_scores(
+            matched, full, None
+        )
         assert week_scores(match_rows(query, corpus), corpus, model) == week_scores(
             matched, full, model
         )
@@ -586,4 +600,4 @@ def test_match_rows_rejects_a_term_the_corpus_was_not_read_for(tmp_path):
         with pytest.raises(QueryError, match="the corpus was read for 1 phrase"):
             match_rows(parse_query(text), corpus)
         with pytest.raises(QueryError, match="not for"):
-            corpus_fraction_series(parse_query(text), corpus)
+            week_scores(match_rows(parse_query(text), corpus), corpus, None)
