@@ -30,6 +30,7 @@ from .corpus import (
     json_str,
     json_value,
     message_from_record,
+    read_lines,
     read_records,
     read_text,
     tokenize_message,
@@ -63,7 +64,7 @@ def load_labeled_jsonl(path: str | Path) -> list[LabeledMessage]:
     """
     out: list[LabeledMessage] = []
     seen: dict[str, int] = {}
-    for line_no, record in read_records(path, ClassifierError):
+    for line_no, record in read_records(read_lines(path, ClassifierError), ClassifierError):
         if "label" not in record:
             raise ClassifierError(f"line {line_no}: missing field 'label'")
         label = record["label"]

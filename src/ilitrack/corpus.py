@@ -159,23 +159,29 @@ def message_from_record(record: dict, line_no: int) -> Message:
         raise CorpusError(f"line {line_no}: {exc}") from None
 
 
+# What open(..., errors="surrogateescape") reads a byte that is not UTF-8 as.
+_STAND_IN = re.compile("[\udc80-\udcff]")
+
+
+def _decoded(path: str | Path, lines: Iterable[tuple[int, str]],
+             error: type[ValueError]) -> Iterator[tuple[int, str]]:
+    """lines, numbered lines of path read with errors="surrogateescape",
+    raising error at the first that holds a byte that is not UTF-8."""
+    for line_no, line in lines:
+        if not line.isascii() and _STAND_IN.search(line):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}: line {line_no}: not valid UTF-8 ({exc.reason})") from None
+        yield line_no, line
+
+
 def read_lines(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, str]]:
     """(line number, line) for each line of a UTF-8 text file, split as
-    open() splits it. A byte that is not UTF-8 raises error, naming the
-    file and the line that holds it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError:
-            raw = Path(path).read_bytes()
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                # open() ends a line at "\n", "\r\n" or a lone "\r".
-                head = raw[: exc.start].decode("utf-8")
-                line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
-                raise error(f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
-            raise
+    open() splits it. A byte that is not UTF-8 raises error once the lines
+    before it are read, naming the file and the line that holds it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        yield from _decoded(path, enumerate(fh, start=1), error)
 
 
 def read_text(path: str | Path, error: type[ValueError]) -> str:
@@ -183,11 +189,12 @@ def read_text(path: str | Path, error: type[ValueError]) -> str:
     return "".join(line for _, line in read_lines(path, error))
 
 
-def read_records(path: str | Path, error: type[ValueError]) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each line of a JSONL file that is not
-    blank. A line that is not UTF-8, not JSON or not a JSON object raises
-    error, naming the line."""
-    for line_no, line in read_lines(path, error):
+def read_records(lines: Iterable[tuple[int, str]],
+                 error: type[ValueError]) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each of lines (read_lines) that is not
+    blank. A line that is not JSON or not a JSON object raises error,
+    naming the line."""
+    for line_no, line in lines:
         # isspace instead of strip(): no per-line copy of the whole text
         if not line or line.isspace():
             continue
@@ -265,17 +272,20 @@ def ingest(path: str | Path, date_range: tuple[date, date]) -> list[Message]:
     start, end = date_range
     if start > end:
         raise CorpusError(f"date range start {start} is after end {end}")
-    messages = [msg for msg in _checked(path) if start <= msg.timestamp.date() <= end]
+    messages = [msg for msg in _checked(read_lines(path, CorpusError))
+                if start <= msg.timestamp.date() <= end]
     messages.sort(key=lambda m: (m.timestamp, m.id))
     return messages
 
 
-def _checked(path: str | Path, repeated: set[int] | None = None) -> Iterator[Message]:
-    """Each message of a JSONL file in file order. A malformed line, or an
-    id an earlier line holds, raises CorpusError naming the line. Only line
-    numbers are kept: of every id, or of those whose _id_hash is in repeated."""
+def _checked(lines: Iterable[tuple[int, str]],
+             repeated: set[int] | None = None) -> Iterator[Message]:
+    """The message of each of lines (read_lines) of a JSONL file, in order.
+    A malformed line, or an id an earlier line holds, raises CorpusError
+    naming the line. Only line numbers are kept: of every id, or of those
+    whose _id_hash is in repeated."""
     seen: dict[str, int] = {}
-    for line_no, record in read_records(path, CorpusError):
+    for line_no, record in read_records(lines, CorpusError):
         msg = message_from_record(record, line_no)
         if repeated is None or _id_hash(msg.id) in repeated:
             if msg.id in seen:
@@ -518,26 +528,19 @@ def load_corpus(
     normalized texts, and the rows holding one are joined into its columns,
     which are concatenated once every chunk is read. Ids must be unique
     across every row read, dropped rows too; only the hash of each is kept,
-    the one column that grows with the file, until the read ends. When
-    any check fails, a check-only pass over the file (_checked, as ingest
-    reads it) raises ingest's error, naming the first bad line. When two
-    hashes are equal, the pass follows only the ids with those hashes: it
-    raises on a true duplicate, else the load goes on. No text is tokenized
-    here: a query finds its rows in the normalized text (Corpus.rows_with),
-    and scoring tokenizes only the rows it scores (Corpus.tokens).
+    the one column that grows with the file, until the read ends. A bad
+    record, or two equal hashes, start a check-only pass over a few chunks
+    (_read_rows), which raises ingest's error naming the first bad line;
+    when only hashes collide the load goes on. No text is tokenized here:
+    a query finds its rows in the normalized text (Corpus.rows_with), and
+    scoring tokenizes only the rows it scores (Corpus.tokens).
     """
     began = time.perf_counter()
     _check_week_grid(first_week_end, weeks)
     if phrases is not None:
         phrases = frozenset(map(tuple, phrases))
     shares = max(1, min(_SHARES, math.ceil(os.path.getsize(path) / _CHUNK_CHARS)))
-    read = _read_rows(path, first_week_end, weeks, phrases, shares)
-    if read is None:
-        _check_only(path, None, "a rejected record")
-        raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-    rows_read, repeated, totals, seconds, runs = read
-    if repeated:
-        _check_only(path, repeated, f"{len(repeated)} repeated id hash(es)")
+    rows_read, totals, seconds, runs = _read_rows(path, first_week_end, weeks, phrases, shares)
     normalized, authors, ids = (_concatenated([run[i] for run in runs], sep)
                                 for i, sep in enumerate(("\n", "", "")))
     corpus = Corpus(first_week_end, weeks, seconds, _week_of(seconds, first_week_end),
@@ -552,18 +555,6 @@ def load_corpus(
     )
     _warn_empty(corpus.totals())
     return corpus
-
-
-def _check_only(path: str | Path, repeated: set[int] | None, cause: str) -> None:
-    """The check-only pass _checked(path, repeated), which raises ingest's
-    error naming the first bad line, logged with its cause and time."""
-    began = time.perf_counter()
-    try:
-        for _ in _checked(path, repeated):
-            pass
-    finally:
-        log.info("load_corpus %s: check-only pass for %s, %.3f s", path, cause,
-                 time.perf_counter() - began)
 
 
 def _week_of(seconds: np.ndarray, first_week_end: date) -> np.ndarray:
@@ -584,13 +575,23 @@ _SHARES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 
 
 def _chunks(path: str | Path) -> Iterator[str]:
-    """The text of a UTF-8 file in chunks of whole lines, split and with
-    line endings as open() reads them."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The text of a file in chunks of whole lines, as read_lines reads them."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while chunk := fh.read(_CHUNK_CHARS):
             if not chunk.endswith("\n"):
                 chunk += fh.readline()
             yield chunk
+
+
+def _lines_of(path: str | Path, wanted: set[int]) -> Iterator[tuple[int, str]]:
+    """What read_lines(path, CorpusError) yields for the lines of the
+    chunks (_chunks) whose index is in wanted."""
+    line_no = 1
+    for i, chunk in enumerate(itertools.islice(_chunks(path), max(wanted) + 1)):
+        if i in wanted:
+            lines = (m[0] for m in re.finditer(".+\n?|\n", chunk))  # only "\n" ends a line
+            yield from _decoded(path, enumerate(lines, line_no), CorpusError)
+        line_no += chunk.count("\n")
 
 
 @_collector_paused()
@@ -600,12 +601,15 @@ def _read_rows(
     weeks: int,
     phrases: frozenset[tuple[str, ...]] | None,
     shares: int,
-) -> tuple[int, set[int], np.ndarray, np.ndarray, list[tuple]] | None:
-    """The number of rows read, the _id_hash values that two or more of
-    their ids have, the number of rows in each of weeks 1..weeks, and the
-    POSIX seconds and, chunk by chunk, the columns (_read_share) of the
-    rows of those weeks that hold one of the phrases (all of them when
-    phrases is None); or None when some record is one that ingest rejects.
+) -> tuple[int, np.ndarray, np.ndarray, list[tuple]]:
+    """The number of rows read, the number of rows in each of weeks
+    1..weeks, and the POSIX seconds and, chunk by chunk, the columns
+    (_read_share) of the rows of those weeks that hold one of the phrases
+    (all of them when phrases is None).
+
+    The first chunk holding a record that ingest rejects, and the chunks up
+    to it holding an _id_hash two ids have, are read again line by line
+    (_checked), which raises ingest's error naming the first bad line.
 
     shares processes read the file: this one reads share 0 and shares - 1
     forked children read the others (_read_share), each opening the file
@@ -630,8 +634,6 @@ def _read_rows(
             writer.close()  # only the child holds it now
         read = [list(_read_share(path, first_week_end, weeks, phrases, 0, shares))]
         for share, (process, reader) in enumerate(children, start=1):
-            if None in read[-1]:
-                break
             try:
                 read.append(reader.recv())
             except (EOFError, OSError):
@@ -645,17 +647,30 @@ def _read_rows(
             process.terminate()
             process.join()
             reader.close()
-    if None in read[-1]:
-        return None
-    # Chunk i of the file is piece i // shares of share i % shares.
-    pieces = [read[i % shares][i // shares] for i in range(sum(map(len, read)))]
-    del read
+    # Chunk i of the file is piece i // shares of share i % shares. A share
+    # ends at the first chunk it rejects, so no chunk before bad is missing.
+    pieces = [p for row in itertools.zip_longest(*read) for p in row if p is not None]
+    bad = next((i for i, p in enumerate(pieces) if p[1] is None), None)
+    pieces = pieces[: None if bad is None else bad + 1]
     hashes = np.concatenate([np.zeros(0, np.int64), *(p[0] for p in pieces)])
     hashes.sort()  # in place: a sorted copy would hold every hash a third time
-    repeated = set(hashes[1:][hashes[1:] == hashes[:-1]].tolist())
+    rows_read, repeated = len(hashes), np.unique(hashes[1:][hashes[1:] == hashes[:-1]])
+    del hashes  # before a check-only pass reads chunks, and the columns are concatenated
+    if bad is not None or len(repeated):
+        began = time.perf_counter()
+        wanted = {i for i, p in enumerate(pieces) if i == bad or np.isin(p[0], repeated).any()}
+        cause = "a rejected record" if bad is not None else f"{len(repeated)} repeated id hash(es)"
+        try:
+            for _ in _checked(_lines_of(path, wanted), set(repeated.tolist())):
+                pass
+        finally:
+            log.info("load_corpus %s: check-only pass for %s, %.3f s, %d chunk(s) read line by"
+                     " line", path, cause, time.perf_counter() - began, len(wanted))
+        if bad is not None:
+            raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
     totals = sum((p[1] for p in pieces), np.zeros(weeks, np.int64))
     seconds = np.concatenate([np.zeros(0, np.int64), *(p[2] for p in pieces)])
-    return len(hashes), repeated, totals, seconds, [p[3] for p in pieces if p[3] is not None]
+    return rows_read, totals, seconds, [p[3] for p in pieces if p[3] is not None]
 
 
 def _read_share(
@@ -665,37 +680,34 @@ def _read_share(
     phrases: frozenset[tuple[str, ...]] | None,
     share: int,
     shares: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None] | None]:
+) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None, tuple | None]]:
     """For each chunk k of the file with k % shares == share, in order: the
     _id_hash of the id of every row it holds, the number of its rows in
     each of weeks 1..weeks, and the POSIX seconds and the columns (None if
     there are none) of its rows of those weeks that hold one of the
     phrases, or of all of them when phrases is None: _joined of their
-    normalized texts (by "\n"), of their authors and of their ids. Yields
-    None and stops at a chunk holding a record that ingest rejects."""
+    normalized texts (by "\n"), of their authors and of their ids. At a
+    chunk holding a record that ingest rejects: _read_columns' ids' hashes,
+    None for the rest, and no further chunk."""
     patterns = None if phrases is None else [_phrase_pattern(p) for p in phrases]
-    try:
-        for chunk in itertools.islice(_chunks(path), share, None, shares):
-            columns = _read_columns(chunk)
-            if columns is None:
-                yield None
-                return
-            ids, seconds, authors, texts = columns
-            hashes = np.fromiter(map(_id_hash, ids), np.int64, count=len(ids))
-            week = _week_of(seconds, first_week_end)
-            inside = (week >= 1) & (week <= weeks)
-            counts = np.bincount(week[inside], minlength=weeks + 1)[1:]
-            if not inside.all():
-                seconds, ids, authors, texts = _taken(inside, seconds, ids, authors, texts)
-            # Each text normalized on its own: str.lower maps Σ by its neighbours.
-            normalized = list(map(normalize, texts))
-            if patterns is not None:
-                held = _rows_found(patterns, *_joined(normalized, "\n"))
-                seconds, ids, authors, normalized = _taken(held, seconds, ids, authors, normalized)
-            kept = (_joined(normalized, "\n"), _joined(authors), _joined(ids)) if ids else None
-            yield hashes, counts, seconds, kept
-    except UnicodeDecodeError:
-        yield None  # the check-only pass names the line
+    for chunk in itertools.islice(_chunks(path), share, None, shares):
+        ids, seconds, authors, texts = _read_columns(chunk)
+        hashes = np.fromiter(map(_id_hash, ids), np.int64, count=len(ids))
+        if seconds is None:
+            yield hashes, None, None, None
+            return
+        week = _week_of(seconds, first_week_end)
+        inside = (week >= 1) & (week <= weeks)
+        counts = np.bincount(week[inside], minlength=weeks + 1)[1:]
+        if not inside.all():
+            seconds, ids, authors, texts = _taken(inside, seconds, ids, authors, texts)
+        # Each text normalized on its own: str.lower maps Σ by its neighbours.
+        normalized = list(map(normalize, texts))
+        if patterns is not None:
+            held = _rows_found(patterns, *_joined(normalized, "\n"))
+            seconds, ids, authors, normalized = _taken(held, seconds, ids, authors, normalized)
+        kept = (_joined(normalized, "\n"), _joined(authors), _joined(ids)) if ids else None
+        yield hashes, counts, seconds, kept
 
 
 def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
@@ -724,10 +736,10 @@ _LINE_RE = re.compile(
 )
 
 
-def _read_columns(chunk: str) -> tuple[list[str], np.ndarray, list[str], list[str]] | None:
+def _read_columns(chunk: str) -> tuple[list[str], np.ndarray | None, list[str], list[str]]:
     """(ids, POSIX seconds, authors, texts) of every record in a chunk of
-    whole lines, or None when some record is one that ingest rejects, apart
-    from a duplicate id."""
+    whole lines. When some record is one that ingest rejects, apart from a
+    duplicate id, seconds is None and the id of a line it cannot decode is ""."""
     rows = _LINE_RE.findall(chunk)
     if not rows:
         return [], np.zeros(0, dtype=np.int64), [], []
@@ -740,15 +752,13 @@ def _read_columns(chunk: str) -> tuple[list[str], np.ndarray, list[str], list[st
             record = json_value(line, CorpusError, "line 0")
             message = message_from_record(record, line_no=0)
         except CorpusError:
-            return None  # ingest re-reads the file and names the line
+            continue  # its id stays "", which rejects the chunk
         ids[r], authors[r], texts[r] = message.id, message.author, message.text
         stamps[r] = record["timestamp"][:19]
-    if not all(ids) or max(map(len, texts), default=0) > MAX_TEXT_CHARS:
-        return None
-    seconds = _posix_seconds(stamps)
-    if seconds is None:
-        return None
-    return ids, seconds, authors, texts
+    if (not all(ids) or max(map(len, texts), default=0) > MAX_TEXT_CHARS
+            or not chunk.isascii() and _STAND_IN.search(chunk)):
+        return ids, None, authors, texts
+    return ids, _posix_seconds(stamps), authors, texts
 
 
 # POSIX second of 0001-01-01T00:00:00, the first time datetime accepts.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, time, timedelta, timezone
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -149,20 +149,7 @@ class SynthConfig:
     spurious_templates: tuple[str, ...] = DEFAULT_SPURIOUS_TEMPLATES
 
     def to_json(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "weeks": self.weeks,
-            "messages_per_week": self.messages_per_week,
-            "first_week_end": self.first_week_end.isoformat(),
-            "true_beta1": self.true_beta1,
-            "true_beta2": self.true_beta2,
-            "ili_curve": list(self.ili_curve),
-            "noise_sd": self.noise_sd,
-            "spurious_rate": self.spurious_rate,
-            "positive_templates": list(self.positive_templates),
-            "negative_templates": list(self.negative_templates),
-            "spurious_templates": list(self.spurious_templates),
-        }
+        doc = {f.name: _CONFIG_JSON[f.type][0](getattr(self, f.name)) for f in fields(self)}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     @classmethod
@@ -170,48 +157,32 @@ class SynthConfig:
         doc = json_value(text, SynthError, "bad config document")
         if not isinstance(doc, dict):
             raise SynthError("bad config document: expected a JSON object")
-        known = {
-            "seed",
-            "weeks",
-            "messages_per_week",
-            "first_week_end",
-            "true_beta1",
-            "true_beta2",
-            "ili_curve",
-            "noise_sd",
-            "spurious_rate",
-            "positive_templates",
-            "negative_templates",
-            "spurious_templates",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise SynthError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         if "seed" not in doc:
             raise SynthError("config must set 'seed'")
         try:
-            kwargs: dict = {"seed": json_int(doc["seed"])}
+            kwargs = {f.name: _CONFIG_JSON[f.type][1](doc[f.name])
+                      for f in fields(cls) if f.name in doc}
             if kwargs["seed"] < 0:  # numpy's generators take no negative seed
                 raise ValueError(f"seed must be >= 0, got {kwargs['seed']}")
-            if "weeks" in doc:
-                kwargs["weeks"] = json_int(doc["weeks"])
-            if "messages_per_week" in doc:
-                kwargs["messages_per_week"] = json_int(doc["messages_per_week"])
-            if "first_week_end" in doc:
-                kwargs["first_week_end"] = date.fromisoformat(doc["first_week_end"])
-            for name in ("true_beta1", "true_beta2", "noise_sd", "spurious_rate"):
-                if name in doc:
-                    kwargs[name] = json_float(doc[name])
-            if "ili_curve" in doc:
-                kwargs["ili_curve"] = tuple(json_float(v) for v in doc["ili_curve"])
-            for name in ("positive_templates", "negative_templates", "spurious_templates"):
-                if name in doc:
-                    kwargs[name] = tuple(json_str(t) for t in json_list(doc[name]))
         except (TypeError, ValueError) as exc:
             raise SynthError(f"bad config document: {exc}") from None
         if "ili_curve" not in doc and "weeks" in doc:
             kwargs["ili_curve"] = default_ili_curve(kwargs["weeks"])
         return cls(**kwargs)
+
+
+# For each type a SynthConfig field has (as annotated), how to_json writes
+# a value of it and how from_json reads one back.
+_CONFIG_JSON = {
+    "int": (lambda value: value, json_int),
+    "float": (lambda value: value, json_float),
+    "date": (date.isoformat, date.fromisoformat),
+    "tuple[float, ...]": (list, lambda value: tuple(map(json_float, json_list(value)))),
+    "tuple[str, ...]": (list, lambda value: tuple(map(json_str, json_list(value)))),
+}
 
 
 @dataclass(frozen=True)

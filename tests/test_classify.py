@@ -86,11 +86,14 @@ def test_load_labeled_jsonl(tmp_path):
     ],
 )
 def test_load_labeled_jsonl_rejects(tmp_path, mutation, complaint):
+    # The bad row follows a good one, and a byte that is not UTF-8 on the
+    # line after it does not hide it.
+    good = {"id": "g", "timestamp": "2010-06-06T12:00:00Z", "text": "flu", "label": 1}
     row = {"id": "a", "timestamp": "2010-06-06T12:00:00Z", "text": "flu", "label": 1}
     mutation(row)
     p = tmp_path / "lab.jsonl"
-    p.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    with pytest.raises(ClassifierError, match=f"line 1.*{complaint}"):
+    p.write_bytes(f"{json.dumps(good)}\n{json.dumps(row)}\n".encode() + b'{"id": "\xff"}\n')
+    with pytest.raises(ClassifierError, match=f"line 2: {complaint}"):
         load_labeled_jsonl(p)
 
 

@@ -1022,8 +1022,13 @@ VALID_DOCUMENTS = {
     "run.json": {"command": "synth", "argv": ["--seed", "1", "--weeks", "2",
                                               "--messages-per-week", "100", "--labeled-pos", "2",
                                               "--labeled-neg", "2"]},
-    "synth config": {"seed": 1, "weeks": 2, "messages_per_week": 20, "ili_curve": [0.1, 0.2]},
+    "synth config": {"seed": 1, "weeks": 2, "messages_per_week": 20, "ili_curve": [0.1, 0.2],
+                     "positive_templates": ["home with the flu {}"],
+                     "negative_templates": ["tacos {} tonight"]},
 }
+# Inserted into a synth config template: a stray brace, a numbered or
+# formatted field beside the {} slots, and an escaped pair of braces.
+BRACES = ("{", "}", "{0}", "{:>9}", "{{}}")
 # Stands in for a JSON token that json.dumps cannot write: 1e400.
 RAW_1E400 = "\x00 1e400"
 
@@ -1045,12 +1050,13 @@ def places(value, at=()):
 def mutated(draw, loader, ili):
     """The bytes of loader's valid document with one key or item dropped,
     a value of another type or "nan", 1e400 or true in a number's place, a
-    value nested in a list, the bytes cut short or one byte replaced by a
-    byte that is not a digit. No count of weeks, messages or injections
-    can then grow past the valid document's: no digit is inserted, and the
-    numbers put in are floats, which integer fields reject. For the same
-    reason synth's messages_per_week is never dropped: it would fall back
-    to its default of 10,000 a week."""
+    value nested in a list, one of BRACES inserted into a template, the
+    bytes cut short or one byte replaced by a byte that is not a digit. No
+    count of weeks, messages or injections can then grow past the valid
+    document's: no digit is inserted, and the numbers put in are floats,
+    which integer fields reject. For the same reason synth's
+    messages_per_week is never dropped: it would fall back to its default
+    of 10,000 a week."""
     kinds = ["truncate", "replace a byte"]
     if loader == "ili":
         content = ili
@@ -1058,10 +1064,12 @@ def mutated(draw, loader, ili):
         doc = json.loads(json.dumps(VALID_DOCUMENTS[loader]))  # a copy to change
         paths = [p for p in places(doc) if p and p[-1] != "messages_per_week"]
         numbers = [p for p in paths if type(value_at(doc, p)) in (int, float)]
+        templates = [p for p in paths if len(p) == 2 and str(p[0]).endswith("_templates")]
         kinds += ["drop", "swap type", "nest"] + (["number"] if numbers else [])
+        kinds += ["brace"] * 4 if templates else []  # most synth config examples
     kind = draw(st.sampled_from(kinds))
-    if kind in ("drop", "swap type", "number", "nest"):
-        path = draw(st.sampled_from(numbers if kind == "number" else paths))
+    if kind in ("drop", "swap type", "number", "nest", "brace"):
+        path = draw(st.sampled_from({"number": numbers, "brace": templates}.get(kind, paths)))
         parent, key = value_at(doc, path[:-1]), path[-1]
         if kind == "drop":
             del parent[key]
@@ -1071,6 +1079,9 @@ def mutated(draw, loader, ili):
                 [v for v in (None, True, "x", 0.5, [], {}) if type(v) is not old]))
         elif kind == "number":
             parent[key] = draw(st.sampled_from(["nan", RAW_1E400, True]))
+        elif kind == "brace":
+            at = draw(st.integers(0, len(parent[key])))
+            parent[key] = parent[key][:at] + draw(st.sampled_from(BRACES)) + parent[key][at:]
         else:
             parent[key] = [parent[key]]
     if loader != "ili":

@@ -283,11 +283,13 @@ def test_load_ili_csv_happy_path(tmp_path):
         ("week_ending,ili_pct\n2009-09-05,1.0\n2009-09-19,1.0\n", "7 days"),
         ("week_ending,ili_pct\n2009-09-05,abc\n", "bad percentage"),
         ("week_ending,ili_pct\nnotadate,1.0\n", "bad date"),
+        # A byte that is not UTF-8 on a later line does not hide the bad one.
+        ("week_ending,ili_pct\nnot json\n\udcff\n", "ILI file line 2: expected 2 fields"),
     ],
 )
 def test_load_ili_csv_rejects(tmp_path, body, complaint):
     p = tmp_path / "ili.csv"
-    p.write_text(body, encoding="utf-8")
+    p.write_text(body, encoding="utf-8", errors="surrogateescape")
     with pytest.raises(CorpusError, match=complaint):
         load_ili_csv(p)
 
@@ -554,6 +556,13 @@ FIRST_CHUNK = [
     for i in range(corpus_module._CHUNK_CHARS // 900 + 1)
 ]
 
+# A line in another layout than messages_jsonl's, which load_corpus decodes
+# line by line.
+REORDERED = '{"text": "x", "id": "late", "timestamp": "2009-09-02T00:00:00Z"}'
+# A line holding a byte that is not UTF-8 (0xFF), as written with
+# errors="surrogateescape".
+NOT_UTF8 = '{"id": "\udcff"}'
+
 # One corpus per way a file can be bad; each bad line follows a good one so
 # that the line number in the error matters.
 BAD_CORPORA = {
@@ -590,19 +599,52 @@ BAD_CORPORA = {
     "duplicate id, one copy outside the weeks": [
         GOOD, *FIRST_CHUNK, json.dumps(rec("ok", "2008-01-01T00:00:00Z"))
     ],
+    "invalid json before a byte that is not utf-8": [GOOD, "not json", NOT_UTF8],
+    # Characters that str.splitlines, but not open(), ends a line at.
+    "invalid json after line separators inside a text": [
+        json.dumps(rec("ok", "2009-09-01T00:00:00Z", text="flu\u2028\u0085x"), ensure_ascii=False),
+        "{broken",
+    ],
+    "duplicate id in another chunk before a byte that is not utf-8": [
+        GOOD, *FIRST_CHUNK, json.dumps(rec("ok", "2009-09-02T00:00:00Z")), NOT_UTF8
+    ],
+    # The chunk holding the bad line and the earlier one holding the first
+    # copy are the ones read line by line.
+    "duplicate id in another chunk before a bad line": [
+        GOOD, *FIRST_CHUNK, json.dumps(rec("ok", "2009-09-02T00:00:00Z")), "{broken"
+    ],
+    # Both copies in the chunk that holds the bad line, in another layout.
+    "duplicate id in the chunk of a bad line": [GOOD, *FIRST_CHUNK, REORDERED, REORDERED,
+                                                "{broken"],
+    # Read 37 characters at a time by two processes, each line is a chunk:
+    # share 1 rejects chunk 1 and share 0 reads on to reject chunk 4.
+    "rejected chunks in both shares, share 1's first": [
+        GOOD, json.dumps(rec("x", "2009-13-01T00:00:00Z")),
+        *(json.dumps(rec(f"m{i}", "2009-09-01T00:00:00Z")) for i in range(2)),
+        json.dumps(rec("y", "2009-13-01T00:00:00Z")),
+    ],
 }
+
+
+def write_lines(path, lines):
+    """Write lines, each ended by "\n", a _STAND_IN character as its byte."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                    errors="surrogateescape")
 
 
 @pytest.mark.parametrize("lines", BAD_CORPORA.values(), ids=BAD_CORPORA.keys())
 def test_load_corpus_rejects_what_ingest_rejects(tmp_path, lines):
     p = tmp_path / "msgs.jsonl"
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(p, lines)
     with pytest.raises(CorpusError) as reference:
         ingest(p, weeks_range(2))
     for size, shares in READS:
         with pytest.raises(CorpusError) as columnar:
             load_in_chunks(size, p, FIRST_END, 2, shares)
         assert str(columnar.value) == str(reference.value), (size, shares)
+    # ingest names the first bad line: the lines before it are read.
+    write_lines(p, lines[: int(re.search(r"line (\d+): ", str(reference.value))[1]) - 1])
+    ingest(p, weeks_range(2))
 
 
 def collide(_):
@@ -660,7 +702,7 @@ DUPLICATE_IDS = {name: lines for name, lines in BAD_CORPORA.items() if "duplicat
 @pytest.mark.parametrize("lines", DUPLICATE_IDS.values(), ids=DUPLICATE_IDS.keys())
 def test_load_corpus_rejects_a_duplicate_id_when_every_hash_collides(tmp_path, lines):
     p = tmp_path / "msgs.jsonl"
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(p, lines)
     both_lines = r"line \d+: duplicate message id .* \(first seen on line \d+\)"
     with pytest.raises(CorpusError, match=both_lines) as reference:
         ingest(p, weeks_range(2))

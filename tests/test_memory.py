@@ -72,6 +72,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 # (32.3 against 34.0 MiB) and the commands 0.1-0.4 MiB lower, so the same
 # code reads 2.0x for synth, 1.5x for fraction and 1.5x for simulate
 # (3 runs each), against 1.87x, 1.36x and 1.38x from source.
+# With a bad last line (a duplicate of line 1, month 13 or a 0xFF byte),
+# fraction's extra is 1.36-1.43x against 1.33-1.34x for the clean file
+# (cached bytecode, 2 runs each): only the chunk holding the bad line and
+# the chunks holding a repeated id hash are read again, line by line.
+# While the whole file was read again to name the line, the 0xFF byte
+# cost 5.3x (the file's bytes, then the text decoded from them), against
+# 1.52x for the clean file.
 BOUNDS = {"synth": 2.4, "fraction": 1.9, "simulate": 2.0}
 
 
@@ -163,15 +170,23 @@ def test_one_astral_character_keeps_memory_under_the_bounds(synth_run):
     assert_under_bound(base, peaks, messages)
 
 
-def test_a_duplicate_id_is_named_without_one_message_per_line(synth_run):
-    # Only a check-only pass over the file names the line, keeping one line
-    # number per id, not one Message per line.
+@pytest.mark.parametrize("bad", ["duplicate", "month 13", "0xff byte"])
+def test_a_duplicate_id_is_named_without_one_message_per_line(synth_run, bad):
+    # A bad last line is named by reading line by line only its chunk and
+    # the chunks holding a repeated id hash, not one Message per line.
     base, _, out = synth_run
-    text = (out / "messages.jsonl").read_text(encoding="utf-8")
-    first = text[: text.index("\n") + 1]
-    messages = out / "duplicate.jsonl"
-    messages.write_text(text + first, encoding="utf-8")
-    error = (f"error: line {text.count(chr(10)) + 1}: duplicate message id "
-             f"{json.loads(first)['id']!r} (first seen on line 1)\n")
-    peak = fraction_peak(messages, out, code=1, stderr=error)
+    raw = (out / "messages.jsonl").read_bytes()
+    first = raw[: raw.index(b"\n") + 1]
+    record, line = json.loads(first), raw.count(b"\n") + 1
+    stamp = record["timestamp"][:5] + "13" + record["timestamp"][7:]
+    messages = out / f"{bad.replace(' ', '-')}.jsonl"
+    last, error = {
+        "duplicate": (first, f"line {line}: duplicate message id {record['id']!r} "
+                             "(first seen on line 1)"),
+        "month 13": (json.dumps(record | {"id": "m13", "timestamp": stamp}).encode() + b"\n",
+                     f"line {line}: timestamp {stamp!r} does not match '%Y-%m-%dT%H:%M:%SZ'"),
+        "0xff byte": (b"\xff\n", f"{messages}: line {line}: not valid UTF-8 (invalid start byte)"),
+    }[bad]
+    messages.write_bytes(raw + last)
+    peak = fraction_peak(messages, out, code=1, stderr=f"error: {error}\n")
     assert_under_bound(base, {"fraction": peak}, messages)
