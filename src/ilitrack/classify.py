@@ -448,9 +448,9 @@ def week_scores(
     matched: np.ndarray, corpus: Corpus, model: ClassifierModel | None
 ) -> list[WeekScores]:
     """WeekScores of weeks 1..corpus.weeks for a query whose match_rows are
-    matched. Each matching row is scored once, from its tokens. With no
-    model every match keeps probability 1.0, which is the keywords method,
-    and no row's tokens are read."""
+    matched. Each matching row is tokenized and scored in turn, and only
+    its probability is kept. With no model every match keeps probability
+    1.0, which is the keywords method, and no row's tokens are read."""
     totals = corpus.totals()
     empty = [w for w, total in enumerate(totals, start=1) if total == 0]
     if empty:

@@ -489,12 +489,19 @@ class Corpus:
         normalized text."""
         return _rows_found([_phrase_pattern(tokens)], self.normalized, self.starts)
 
-    def tokens(self, rows: Iterable[int]) -> list[list[str]]:
-        """tokenize(text) of each row's text, in (timestamp, id) order as
-        bucket_weekly orders messages: a row's tokens are the maximal runs
-        of token characters in its normalized text."""
-        ordered = sorted(map(int, rows), key=lambda r: (int(self.seconds[r]), self.id(r)))
-        return [_TOKEN_RE.findall(self.normalized, *self.starts[r : r + 2]) for r in ordered]
+    def tokens(self, rows: Sequence[int]) -> Iterator[list[str]]:
+        """tokenize(text) of each row's text, one row at a time, in (timestamp,
+        id) order as bucket_weekly orders messages: the maximal runs of token
+        characters in its normalized text. Only the order and offsets are held."""
+        order = np.asarray(rows, dtype=np.int64)
+        order = order[np.argsort(self.seconds[order], kind="stable")]
+        # Rows of one second go by id, in Python: a numpy "U" array drops trailing NULs.
+        same = np.diff(self.seconds[order]) == 0
+        tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        order[tied] = sorted(order[tied].tolist(), key=lambda r: (int(self.seconds[r]), self.id(r)))
+        for block in np.split(order, np.arange(1 << 12, len(order), 1 << 12)):
+            spans = zip(self.starts[block].tolist(), self.starts[block + 1].tolist())
+            yield from (_TOKEN_RE.findall(self.normalized, a, b) for a, b in spans)
 
 
 def load_corpus(
@@ -565,7 +572,7 @@ def _week_of(seconds: np.ndarray, first_week_end: date) -> np.ndarray:
 
 # load_corpus reads this many characters at a time, plus the rest of the
 # line the cut falls in.
-_CHUNK_CHARS = 1 << 20
+_CHUNK_CHARS = 1 << 18
 # load_corpus checks that ids are unique by their values under this.
 _id_hash = hash
 # load_corpus deals a file's chunks out to at most this many processes:

@@ -9,6 +9,7 @@ un-injected estimates. Reported errors are on the percentage-point scale.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -164,11 +165,11 @@ def corpus_spurious_pool(
     order, where gate is match_rows(GATE_QUERY, corpus): the gate rows
     whose author holds a marker or whose text holds a marker phrase."""
     author_lower, terms, rule = _markers(author_markers, text_markers)
-    marked = np.logical_or.reduce([corpus.rows_with(t.tokens) for t in terms])
-    rows = [
-        r for r in np.flatnonzero(gate).tolist()
-        if marked[r] or any(a in corpus.author(r).lower() for a in author_lower)
-    ]
+    marked = np.logical_or.reduce([corpus.rows_with(t.tokens) for t in terms]) & gate
+    rest = np.flatnonzero(gate & ~marked)
+    spans = zip(corpus.author_starts[rest].tolist(), corpus.author_starts[rest + 1].tolist())
+    marked[rest] = [any(a in corpus.authors[b:e].lower() for a in author_lower) for b, e in spans]
+    rows = np.flatnonzero(marked)
     return SpuriousPool(tokens=tuple(map(tuple, corpus.tokens(rows))), source_rule=rule)
 
 
@@ -200,7 +201,7 @@ def inject(
             continue
         day = datetime.combine(bucket.end_date, time(), timezone.utc)
         injected = []
-        for i in _draws(rng, pool, bucket.week_index, n):
+        for i in _draws(rng, pool, bucket.week_index, n).tolist():
             tokens = pool.tokens[i]
             clone = Message(id=f"#inj{ordinal}", timestamp=day, author="", text=" ".join(tokens))
             injected.append(TokenizedMessage(message=clone, tokens=tokens))
@@ -209,10 +210,10 @@ def inject(
     return out
 
 
-def _draws(rng: np.random.Generator, pool: SpuriousPool, week: int, n: int) -> list[int]:
-    """The pool indices of week's n injected messages, drawn with replacement."""
+def _draws(rng: np.random.Generator, pool: SpuriousPool, week: int, n: int) -> np.ndarray:
+    """The pool indices of week's n injected messages, drawn with replacement, as one array."""
     try:
-        return rng.integers(0, len(pool), size=n).tolist()
+        return rng.integers(0, len(pool), size=n)
     except (ValueError, MemoryError):  # numpy refuses a size past what it can index
         raise SimulationError(f"week {week}: cannot draw {n} injected messages") from None
 
@@ -281,8 +282,9 @@ def run_simulation(
     must supply one fitted regression per method name in METHODS (each
     fitted on its own fraction series from the clean corpus). The injection
     is inject()'s as arithmetic: the same draws pick pool messages, each
-    scored once, and an injected week gains n messages and the
-    probabilities of the picks that match the query.
+    scored once, and an injected week gains n messages and, for each pool
+    message matching the query, its probability as many times as it was
+    picked (np.bincount of the draws, which stay one numpy array).
     """
     missing = [m for m in METHODS if m not in models]
     if missing:
@@ -299,9 +301,10 @@ def run_simulation(
     injected = dict(clean)
     for week, n in sorted(schedule.pairs):  # inject()'s order: by week, no draw for 0
         if n:
-            picks = _draws(rng, pool, week, n)
-            probs = tuple(pool_probs[i] for i in picks if pool_probs[i] is not None)
-            injected[week] = WeekScores(week, clean[week].total + n, clean[week].probs + probs)
+            picks = np.bincount(_draws(rng, pool, week, n), minlength=len(pool)).tolist()
+            repeats = (itertools.repeat(p, c) for p, c in zip(pool_probs, picks) if p is not None)
+            probs = tuple(itertools.chain(clean[week].probs, *repeats))
+            injected[week] = WeekScores(week, clean[week].total + n, probs)
 
     def estimates(weeks: Mapping[int, WeekScores]) -> dict[str, tuple[float, ...]]:
         series = method_series([weeks[w] for w in schedule.weeks])

@@ -3,7 +3,8 @@
 import json
 import math
 import tempfile
-from datetime import date, datetime, timedelta
+import tracemalloc
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +19,7 @@ from ilitrack.classify import (
     bucket_fractions,
     predict_proba,
     score_tokens,
+    week_scores,
 )
 from ilitrack.corpus import WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
 from ilitrack.query import GATE_QUERY, GATE_QUERY_TEXT, match_rows, matches, parse_query
@@ -206,7 +208,7 @@ def test_columnar_paths_agree_with_the_oracles(rows, author_markers, text_marker
         for size in (corpus_module._CHUNK_CHARS, 37, 1):
             with mock.patch.multiple(corpus_module, _CHUNK_CHARS=size, _SHARES=1):
                 corpus = load_corpus(p, first_end, weeks)
-            tokens = corpus.tokens(range(len(corpus)))
+            tokens = list(corpus.tokens(range(len(corpus))))
             assert tokens == [list(tm.tokens) for tm in messages]
             # Rows in file order, each with its record's id and author.
             kept = {tm.message.id: tm.message.author for tm in messages}
@@ -564,3 +566,59 @@ def test_reference_mse_values():
     assert REFERENCE_MSE["classify-soft"] == 0.035
     assert REFERENCE_MSE["classify-hard"] == 0.023
     assert METHODS == ("keywords", "classify-soft", "classify-hard")
+
+
+# --- memory -----------------------------------------------------------------------
+
+
+# What week_scores and run_simulation may hold at their peak beyond what
+# they return. At 20,000 matching rows week_scores peaked 13.6 MB above its
+# result while it held every row's tokens, and 1.8 MB while it held two
+# offset lists over all rows; now 0.7 MB. With the default schedule
+# run_simulation peaked 4.9 MB above its report while it held a Python int
+# per draw; now 1.1 MB, most of it the probabilities' tuple in the week
+# of 100,000.
+EXTRA_BYTES = 3 * 2**19
+
+
+def traced_extra(call):
+    """call()'s result, and how many bytes above what was held once it
+    returned tracemalloc saw held while it ran. tracemalloc also counts
+    numpy's buffers."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+def test_week_scores_holds_no_token_list_per_row(tmp_path):
+    # 20,000 matching rows of 9 tokens each, a minute apart. Each row is
+    # tokenized, scored and dropped in turn.
+    p = tmp_path / "msgs.jsonl"
+    start = datetime(2009, 8, 30, tzinfo=timezone.utc)
+    with open(p, "w", encoding="utf-8") as fh:
+        for i in range(20_000):
+            stamp = (start + timedelta(minutes=i)).strftime("%Y-%m-%dT%H:%M:%SZ")
+            text = f"flu report {i} from ward {i % 97} late today again"
+            fh.write(json.dumps({"id": f"m{i}", "timestamp": stamp, "text": text}) + "\n")
+    corpus = load_corpus(p, date(2009, 9, 5), 2)
+    matched = match_rows(parse_query("flu"), corpus)
+    model = ClassifierModel(vocabulary={"flu": 1, "ward": 2}, theta=(0.5, 0.25, -1.0),
+                            l2_lambda=1.0, trained_on="t", converged=True)
+    scores, extra = traced_extra(lambda: week_scores(matched, corpus, model))
+    assert [len(s.probs) for s in scores] == [10_080, 9_920]
+    assert extra < EXTRA_BYTES
+
+
+def test_run_simulation_holds_nothing_per_draw():
+    # The default schedule draws 116,000 times from a pool of 1,000.
+    pool = SpuriousPool(tokens=tuple(("flu", f"w{i}") for i in range(1000)), source_rule="r")
+    scores = [WeekScores(w, 100, (0.9,) * 10) for w in range(1, 6)]
+    schedule = InjectionSchedule.default_for(range(1, 6))
+    report, extra = traced_extra(lambda: run_simulation(
+        scores, pool, schedule, identity_models(), keep_all_classifier(), 0))
+    assert report.injected_counts == DEFAULT_SCHEDULE_COUNTS
+    assert extra < EXTRA_BYTES
