@@ -1,5 +1,9 @@
 """Bag-of-words logistic regression for separating genuine illness reports
-from spurious keyword matches, plus classifier-filtered weekly fractions.
+from spurious keyword matches, and the weekly fractions of the paper's three
+methods: the plain keyword fraction, the classifier-weighted soft fraction
+and the thresholded hard fraction. Each follows from one WeekScores record
+per week, whether week_scores reads it off a corpus's columns or an oracle
+(query_fraction_series, bucket_fractions) matches messages one by one.
 
 Features are token counts over a vocabulary built from training data, with a
 bias feature at index 0. The objective is the negative log-likelihood plus an
@@ -14,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -36,8 +41,8 @@ from .corpus import (
     tokenize_message,
 )
 from .optimize import minimize_lbfgs
-from .query import Query, matches
-from .regress import sigmoid
+from .query import Query, QueryError, count_matches, matches
+from .regress import WeeklySeries, clamp_fraction, sigmoid
 
 log = logging.getLogger(__name__)
 
@@ -146,16 +151,11 @@ class ClassifierModel:
         return cls.from_json(read_text(path, ClassifierError))
 
 
-def build_vocabulary(
-    messages: Iterable[TokenizedMessage], min_count: int = 1
-) -> dict[str, int]:
-    """Alphabetical token -> index map (1-based; 0 is reserved for bias)."""
-    counts: dict[str, int] = {}
-    for tm in messages:
-        for tok in tm.tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-    kept = sorted(tok for tok, c in counts.items() if c >= min_count)
-    return {tok: i + 1 for i, tok in enumerate(kept)}
+def build_vocabulary(messages: Iterable[TokenizedMessage]) -> dict[str, int]:
+    """Alphabetical token -> index map of every token the messages hold
+    (1-based; 0 is reserved for bias)."""
+    tokens = sorted({tok for tm in messages for tok in tm.tokens})
+    return {tok: i for i, tok in enumerate(tokens, start=1)}
 
 
 def featurize(tm: TokenizedMessage, vocabulary: Mapping[str, int]) -> dict[int, int]:
@@ -222,7 +222,6 @@ def train(
     seed: int = 0,
     tol: float = 1e-7,
     max_iters: int = 1000,
-    min_token_count: int = 1,
 ) -> ClassifierModel:
     """Fit the classifier on labeled messages.
 
@@ -240,7 +239,7 @@ def train(
         raise ClassifierError(
             f"training data must contain both classes, got labels {sorted(labels)}"
         )
-    vocabulary = build_vocabulary((lm.message for lm in data), min_count=min_token_count)
+    vocabulary = build_vocabulary(lm.message for lm in data)
     X, y = _design_matrix(data, vocabulary)
     rng = np.random.default_rng(seed)
     theta0 = rng.normal(0.0, 0.1, size=len(vocabulary) + 1)
@@ -351,8 +350,6 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
     l2_lambda: float = 1.0,
-    tol: float = 1e-7,
-    max_iters: int = 1000,
 ) -> CvReport:
     """Stratified k-fold CV with per-fold retraining.
 
@@ -385,9 +382,7 @@ def cross_validate(
     for f in range(k):
         test = folds[f]
         trainset = [lm for g in range(k) if g != f for lm in folds[g]]
-        model = train(
-            trainset, l2_lambda=l2_lambda, seed=seed + f + 1, tol=tol, max_iters=max_iters
-        )
+        model = train(trainset, l2_lambda=l2_lambda, seed=seed + f + 1)
         tp = fp = tn = fn = 0
         for lm in test:
             pred = predict_label(model, lm.message)
@@ -414,14 +409,19 @@ def cross_validate(
     )
 
 
-# --- classifier-filtered fractions -------------------------------------------
+# --- weekly fractions --------------------------------------------------------
+
+
+# The three estimation methods, each a column of WeekScores.fractions.
+METHODS = ("keywords", "classify-soft", "classify-hard")
 
 
 @dataclass(frozen=True, slots=True)
 class WeekScores:
     """One week as the classifier sees it: its message count, and the
-    predict_proba of each message that matches the query. Every weekly
-    fraction follows from it, and an injection only adds to both."""
+    predict_proba of each message that matches the query (1.0 each for the
+    keywords method). Every weekly fraction follows from it, and an
+    injection only adds to both."""
 
     week_index: int
     total: int
@@ -451,7 +451,7 @@ def week_scores(
     matched. Each matching row is tokenized and scored in turn, and only
     its probability is kept. With no model every match keeps probability
     1.0, which is the keywords method, and no row's tokens are read."""
-    totals = corpus.totals()
+    totals = corpus.week_totals
     empty = [w for w, total in enumerate(totals, start=1) if total == 0]
     if empty:
         raise ClassifierError(
@@ -470,6 +470,21 @@ def week_scores(
     ]
 
 
+def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> list[WeekScores]:
+    """The keywords method's WeekScores of consecutive buckets, matching
+    their messages one by one: the reference that week_scores with no model
+    agrees with."""
+    empty = [b.week_index for b in buckets if not b.messages]
+    if empty:
+        raise QueryError(
+            "cannot compute fractions over empty week bucket(s): " + ", ".join(map(str, empty))
+        )
+    return [
+        WeekScores(b.week_index, len(b.messages), (1.0,) * count_matches(query, b))
+        for b in buckets
+    ]
+
+
 def bucket_fractions(
     query: Query, bucket: WeekBucket, model: ClassifierModel
 ) -> tuple[float, float, float]:
@@ -477,3 +492,27 @@ def bucket_fractions(
     messages one by one: the reference that week_scores agrees with."""
     probs = tuple(predict_proba(model, tm) for tm in bucket.messages if matches(query, tm))
     return WeekScores(bucket.week_index, len(bucket.messages), probs).fractions()
+
+
+def method_series(scores: Sequence[WeekScores]) -> dict[str, WeeklySeries]:
+    """Each method's weekly fractions, clamped off 0 and 1: the series its
+    regression is fitted on and predicts from."""
+    weeks = tuple(s.week_index for s in scores)
+    columns = zip(*(s.fractions() for s in scores))
+    return {
+        name: WeeklySeries(weeks, tuple(clamp_fraction(f, s.total) for f, s in zip(column, scores)))
+        for name, column in zip(METHODS, columns)
+    }
+
+
+def fractions_csv(scores: Sequence[WeekScores], end_dates: Iterable[date], method: str) -> str:
+    """One method's weekly fractions as CSV, unclamped. Its matches column
+    counts the matches, sums their probabilities (classify-soft) or counts
+    the kept ones (classify-hard)."""
+    i = METHODS.index(method)
+    rows = ["week_index,end_date,matches,total,fraction"]
+    for s, end in zip(scores, end_dates):
+        fraction = s.fractions()[i]
+        count = (len(s.probs), fraction * s.total, s.kept)[i]
+        rows.append(f"{s.week_index},{end.isoformat()},{count!r},{s.total},{fraction!r}")
+    return "\n".join(rows) + "\n"

@@ -15,7 +15,7 @@ flags in <out>/run.json in the order the subcommand declares them: each
 flag but --out that holds a value, except an empty optional one, with
 floats written by repr. fraction and simulate take their plain, soft and
 hard weekly series from the library (classify.week_scores, then
-simulate.method_series). Errors exit 1 with a single "error: ..." line
+classify.method_series). Errors exit 1 with a single "error: ..." line
 on stderr.
 """
 
@@ -27,6 +27,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 from typing import Iterable, NoReturn, Sequence
@@ -38,7 +39,7 @@ from .corpus import CorpusError, json_list, json_str, json_value, load_corpus, l
 # The per-message reference path that the columnar CLI path reproduces.
 # perfbench/spans.py wraps these names on this module.
 from .corpus import bucket_weekly, ingest  # noqa: F401
-from .query import query_fraction_series  # noqa: F401
+from .classify import query_fraction_series  # noqa: F401
 from .simulate import build_spurious_pool  # noqa: F401
 from .query import (
     GATE_QUERY,
@@ -61,12 +62,9 @@ from .regress import (
 )
 from .simulate import (
     DEFAULT_SCHEDULE_COUNTS,
-    METHODS,
     InjectionSchedule,
     SimulationError,
     corpus_spurious_pool,
-    fractions_csv,
-    method_series,
     mse_vs_baseline,
     report_csv,
     run_simulation,
@@ -86,7 +84,7 @@ _ERRORS = (
 )
 
 
-# fraction's --mode for each of METHODS, in the same order.
+# fraction's --mode for each of classify.METHODS, in the same order.
 _MODES = ("plain", "soft", "hard")
 
 
@@ -154,7 +152,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     if args.config:
         config = syn.SynthConfig.from_json(read_text(args.config, syn.SynthError))
-        config = syn.replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     else:
         kwargs: dict = {"seed": args.seed}
         if args.weeks is not None:
@@ -202,7 +200,7 @@ def _load_weekly(messages_path: str, ili_path: str, queries: Sequence[Query]):
     last_end = ili_rows[-1][0]
     phrases = {term.tokens for query in queries for term in query.base_terms}
     corpus = load_corpus(messages_path, first_end, weeks=len(ili_rows), phrases=phrases)
-    if not sum(corpus.totals()):
+    if not sum(corpus.week_totals):
         raise CliError(
             f"no messages between {first_end - timedelta(days=6)} and {last_end}; "
             "the corpus does not overlap the ILI series"
@@ -258,10 +256,10 @@ def cmd_fraction(args: argparse.Namespace) -> int:
     scores = clf.week_scores(
         match_rows(query, corpus), corpus, None if args.mode == "plain" else classifier
     )
-    method = METHODS[_MODES.index(args.mode)]
-    fractions = method_series(scores)[method]
+    method = clf.METHODS[_MODES.index(args.mode)]
+    fractions = clf.method_series(scores)[method]
     out = _out_dir(args)
-    _write(out / "fractions.csv", fractions_csv(scores, corpus.end_dates(), method))
+    _write(out / "fractions.csv", clf.fractions_csv(scores, corpus.end_dates(), method))
     _write_run(out, "fraction", args)
 
     try:
@@ -373,8 +371,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     matched = match_rows(query, corpus)
     scores = clf.week_scores(matched, corpus, classifier)
-    series = method_series(scores)
-    models = {name: fit(series[name], ili, train_weeks) for name in METHODS}
+    series = clf.method_series(scores)
+    models = {name: fit(series[name], ili, train_weeks) for name in clf.METHODS}
 
     if args.schedule is not None:
         schedule = _load_schedule(args.schedule)
@@ -390,7 +388,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write(out / "simulation_summary.json", summary_json(report, pool, args.seed))
     _write_run(out, "simulate", args)
     drift = mse_vs_baseline(report)
-    for name in METHODS:
+    for name in clf.METHODS:
         print(f"{name:<14} mse={drift[name]:.6g} pp^2")
     return 0
 

@@ -436,10 +436,11 @@ class Corpus:
     """The messages of weeks 1..weeks as columns: what
     bucket_weekly(ingest(...)) holds, without one object per message.
 
-    week_totals[w - 1] is the number of messages in week w. When phrases is
-    None the rows are all of those messages; otherwise they are only the
-    messages whose tokens hold one of the phrases (token tuples), the only
-    rows a query whose bare terms are all among them can match.
+    week_totals[w - 1] is the number of messages in week w, kept as a row
+    or not. When phrases is None the rows are all of those messages;
+    otherwise they are only the messages whose tokens hold one of the
+    phrases (token tuples), the only rows a query whose bare terms are all
+    among them can match.
 
     Rows are in file order. Row r was posted at POSIX second seconds[r];
     week[r] is its 1-based week index. Its normalize(text) is
@@ -472,10 +473,6 @@ class Corpus:
 
     def end_dates(self) -> list[date]:
         return [self.first_week_end + timedelta(days=7 * i) for i in range(self.weeks)]
-
-    def totals(self) -> list[int]:
-        """Number of messages in each week, weeks 1..weeks, rows kept or not."""
-        return list(self.week_totals)
 
     def id(self, r: int) -> str:
         return self.ids[self.id_starts[r] : self.id_starts[r + 1]]
@@ -560,7 +557,7 @@ def load_corpus(
         *map(sys.getsizeof, (corpus.normalized, corpus.authors, corpus.ids)),
         time.perf_counter() - began,
     )
-    _warn_empty(corpus.totals())
+    _warn_empty(corpus.week_totals)
     return corpus
 
 

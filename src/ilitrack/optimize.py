@@ -18,6 +18,13 @@ log = logging.getLogger(__name__)
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+# Curvature pairs kept; the Armijo constant c1; the step's shrink factor per
+# backtrack; and the backtracks a line search may take before it gives up.
+_MEMORY = 10
+_C1 = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 60
+
 
 @dataclass(slots=True)
 class OptimizeResult:
@@ -31,19 +38,12 @@ class OptimizeResult:
 
 
 def minimize_lbfgs(
-    fun: Objective,
-    x0: np.ndarray,
-    tol: float = 1e-8,
-    max_iters: int = 500,
-    memory: int = 10,
-    c1: float = 1e-4,
-    shrink: float = 0.5,
-    max_backtracks: int = 60,
+    fun: Objective, x0: np.ndarray, tol: float = 1e-8, max_iters: int = 500
 ) -> OptimizeResult:
     """Minimize fun starting at x0.
 
     Convergence means max|gradient| < tol. Each accepted step satisfies the
-    Armijo condition f(x + a*d) <= f(x) + c1*a*g.d, so the loss history never
+    Armijo condition f(x + a*d) <= f(x) + _C1*a*g.d, so the loss history never
     increases (the decrease is strict until it falls below float resolution).
     Returns converged=False (never raises) when the iteration or line-search
     budget runs out.
@@ -51,7 +51,7 @@ def minimize_lbfgs(
     x = np.asarray(x0, dtype=np.float64).copy()
     loss, grad = fun(x)
     _check_finite(loss, grad)
-    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=memory)
+    history: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)
     losses = [loss]
 
     for iteration in range(1, max_iters + 1):
@@ -67,12 +67,12 @@ def minimize_lbfgs(
             direction = -grad
             descent = float(direction @ grad)
 
-        step = _armijo_step(fun, x, loss, direction, descent, c1, shrink, max_backtracks)
+        step = _armijo_step(fun, x, loss, direction, descent)
         if step is None and history:
             history.clear()
             direction = -grad
             descent = float(direction @ grad)
-            step = _armijo_step(fun, x, loss, direction, descent, c1, shrink, max_backtracks)
+            step = _armijo_step(fun, x, loss, direction, descent)
         if step is None:
             log.warning("line search stalled at iteration %d", iteration)
             return OptimizeResult(x, loss, grad_max, iteration, False, losses)
@@ -120,22 +120,15 @@ def _two_loop_direction(
 
 
 def _armijo_step(
-    fun: Objective,
-    x: np.ndarray,
-    loss: float,
-    direction: np.ndarray,
-    descent: float,
-    c1: float,
-    shrink: float,
-    max_backtracks: int,
+    fun: Objective, x: np.ndarray, loss: float, direction: np.ndarray, descent: float
 ) -> tuple[float, float, np.ndarray] | None:
     alpha = 1.0
-    for _ in range(max_backtracks):
+    for _ in range(_MAX_BACKTRACKS):
         trial_loss, trial_grad = fun(x + alpha * direction)
-        if np.isfinite(trial_loss) and trial_loss <= loss + c1 * alpha * descent:
+        if np.isfinite(trial_loss) and trial_loss <= loss + _C1 * alpha * descent:
             _check_finite(trial_loss, trial_grad)
             return alpha, trial_loss, trial_grad
-        alpha *= shrink
+        alpha *= _SHRINK
     return None
 
 

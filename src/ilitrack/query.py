@@ -1,4 +1,6 @@
-"""Boolean keyword queries over tokenized messages, and weekly match fractions.
+"""Boolean keyword queries: parsing, matching one tokenized message, and
+matching every row of a corpus's columns at once (match_rows). The weekly
+fractions of the matches are classify's.
 
 Grammar, by example:
 
@@ -17,9 +19,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
-from datetime import date
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -194,6 +195,10 @@ def matches_tokens(query: Query, tokens: Sequence[str]) -> bool:
     return True
 
 
+def count_matches(query: Query, bucket: WeekBucket) -> int:
+    return sum(1 for m in bucket.messages if matches(query, m))
+
+
 # --- parsing -----------------------------------------------------------------
 
 
@@ -341,67 +346,6 @@ def parse_query(text: str) -> Query:
 # The fixed gate query used for classifier candidacy and spurious pools.
 GATE_QUERY_TEXT = 'flu cough headache "sore throat"'
 GATE_QUERY = parse_query(GATE_QUERY_TEXT)
-
-
-# --- weekly fractions --------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class QueryFractionSeries:
-    """Per-week match fractions for one query.
-
-    Parallel tuples; values[i] == match_counts[i] / totals[i] for every week.
-    """
-
-    query: Query
-    week_indices: tuple[int, ...]
-    end_dates: tuple[date, ...]
-    match_counts: tuple[int, ...]
-    totals: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.week_indices)
-        if not (
-            len(self.end_dates) == len(self.match_counts) == len(self.totals)
-            == len(self.values) == n
-        ):
-            raise QueryError("series fields must have equal length")
-        for i in range(n):
-            if self.totals[i] <= 0:
-                raise QueryError(f"week {self.week_indices[i]}: total must be positive")
-            if not 0 <= self.match_counts[i] <= self.totals[i]:
-                raise QueryError(
-                    f"week {self.week_indices[i]}: match count outside [0, total]"
-                )
-            if self.values[i] != self.match_counts[i] / self.totals[i]:
-                raise QueryError(
-                    f"week {self.week_indices[i]}: value inconsistent with counts"
-                )
-
-
-def count_matches(query: Query, bucket: WeekBucket) -> int:
-    return sum(1 for m in bucket.messages if matches(query, m))
-
-
-def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> QueryFractionSeries:
-    """Compute the weekly fraction series over consecutive buckets."""
-    empty = [b.week_index for b in buckets if len(b.messages) == 0]
-    if empty:
-        raise QueryError(
-            "cannot compute fractions over empty week bucket(s): "
-            + ", ".join(map(str, empty))
-        )
-    counts = tuple(count_matches(query, b) for b in buckets)
-    totals = tuple(len(b.messages) for b in buckets)
-    return QueryFractionSeries(
-        query=query,
-        week_indices=tuple(b.week_index for b in buckets),
-        end_dates=tuple(b.end_date for b in buckets),
-        match_counts=counts,
-        totals=totals,
-        values=tuple(c / t for c, t in zip(counts, totals)),
-    )
 
 
 # --- columnar matching -------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import json_float, json_int, json_value, read_text
 
@@ -116,12 +116,7 @@ class RegressionModel:
         return cls.from_json(read_text(path, RegressionError))
 
 
-def fit(
-    fractions: WeeklySeries,
-    ili: WeeklySeries,
-    train_weeks: Sequence[int],
-    eps_clamp: float = 1e-6,
-) -> RegressionModel:
+def fit(fractions: WeeklySeries, ili: WeeklySeries, train_weeks: Sequence[int]) -> RegressionModel:
     """Least-squares fit of logit(ili) on logit(fraction) over train_weeks.
 
     Both series must cover every training week. Requires >= 3 weeks and a
@@ -147,9 +142,7 @@ def fit(
     sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
     beta1 = sxy / sxx
     beta2 = y_mean - beta1 * x_mean
-    return RegressionModel(
-        beta1=beta1, beta2=beta2, train_weeks=tuple(weeks), eps_clamp=eps_clamp
-    )
+    return RegressionModel(beta1=beta1, beta2=beta2, train_weeks=tuple(weeks))
 
 
 def predict(model: RegressionModel, fraction: float) -> float:

@@ -13,19 +13,17 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from datetime import date, datetime, time, timezone
+from datetime import datetime, time, timezone
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .classify import bucket_fractions  # noqa: F401  (perfbench/spans.py wraps it here)
-from .classify import ClassifierModel, WeekScores, score_tokens
+from .classify import METHODS, ClassifierModel, WeekScores, method_series, score_tokens
 from .corpus import Corpus, Message, TokenizedMessage, WeekBucket, json_int, json_value
 from .corpus import tokenize, tokenize_message
 from .query import GATE_QUERY, Query, Term, matches, matches_tokens
-from .regress import RegressionModel, WeeklySeries, clamp_fraction, predict
-
-METHODS = ("keywords", "classify-soft", "classify-hard")
+from .regress import RegressionModel, predict
 
 DEFAULT_AUTHOR_MARKERS = ("news", "reuters")
 DEFAULT_TEXT_MARKERS = ("associated press", "ap", "health officials")
@@ -241,30 +239,6 @@ class SimulationReport:
                     )
         if len(self.injected_counts) != n:
             raise SimulationError("injected_counts length mismatch")
-
-
-def method_series(scores: Sequence[WeekScores]) -> dict[str, WeeklySeries]:
-    """Each method's weekly fractions, clamped off 0 and 1: the series its
-    regression is fitted on and predicts from."""
-    weeks = tuple(s.week_index for s in scores)
-    columns = zip(*(s.fractions() for s in scores))
-    return {
-        name: WeeklySeries(weeks, tuple(clamp_fraction(f, s.total) for f, s in zip(column, scores)))
-        for name, column in zip(METHODS, columns)
-    }
-
-
-def fractions_csv(scores: Sequence[WeekScores], end_dates: Iterable[date], method: str) -> str:
-    """One method's weekly fractions as CSV, unclamped. Its matches column
-    counts the matches, sums their probabilities (classify-soft) or counts
-    the kept ones (classify-hard)."""
-    i = METHODS.index(method)
-    rows = ["week_index,end_date,matches,total,fraction"]
-    for s, end in zip(scores, end_dates):
-        fraction = s.fractions()[i]
-        count = (len(s.probs), fraction * s.total, s.kept)[i]
-        rows.append(f"{s.week_index},{end.isoformat()},{count!r},{s.total},{fraction!r}")
-    return "\n".join(rows) + "\n"
 
 
 def run_simulation(

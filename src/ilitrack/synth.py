@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time, timedelta, timezone
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np

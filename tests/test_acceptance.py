@@ -18,6 +18,8 @@ from ilitrack.classify import (
     cross_validate,
     featurize,
     loss_and_grad,
+    method_series,
+    query_fraction_series,
     train,
 )
 from ilitrack.cli import main
@@ -29,9 +31,8 @@ from ilitrack.query import (
     Term,
     matches,
     parse_query,
-    query_fraction_series,
 )
-from ilitrack.regress import WeeklySeries, clamp_fraction, fit, logit, pearson, predict
+from ilitrack.regress import WeeklySeries, fit, logit, pearson, predict
 from ilitrack.synth import SynthConfig, generate, generate_labeled
 
 GATE_TEXT = GATE_QUERY.render()
@@ -96,11 +97,7 @@ def test_noisy_corpora_keep_holdout_correlation(check):
         cfg = SynthConfig(seed=seed, messages_per_week=1000, noise_sd=0.05)
         messages, truth = generate(cfg)
         buckets = bucket_weekly(messages, cfg.first_week_end, cfg.weeks)
-        series = query_fraction_series(GATE_QUERY, buckets)
-        fractions = WeeklySeries(
-            series.week_indices,
-            tuple(clamp_fraction(v, t) for v, t in zip(series.values, series.totals)),
-        )
+        fractions = method_series(query_fraction_series(GATE_QUERY, buckets))["keywords"]
         ili = WeeklySeries(truth.week_indices, truth.ili)
         model = fit(fractions, ili, train_weeks)
         r = pearson(

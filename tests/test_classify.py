@@ -134,11 +134,6 @@ def test_build_vocabulary_alphabetical_one_based():
     assert vocab == {"aches": 1, "cough": 2, "flu": 3}
 
 
-def test_build_vocabulary_min_count():
-    tms = [tmsg("cough flu cough"), tmsg("aches flu")]
-    assert build_vocabulary(tms, min_count=2) == {"cough": 1, "flu": 2}
-
-
 def test_featurize_counts_and_bias():
     vocab = {"cough": 1, "flu": 2}
     feats = featurize(tmsg("flu cough flu zebra"), vocab)

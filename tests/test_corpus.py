@@ -349,7 +349,7 @@ def assert_holds_buckets(corpus, reference):
     assert {corpus.id(r): corpus.author(r) for r in range(len(corpus))} == {
         tm.message.id: tm.message.author for tm in everything
     }
-    assert corpus.totals() == [len(b.messages) for b in reference]
+    assert corpus.week_totals == tuple(len(b.messages) for b in reference)
     assert corpus.end_dates() == [b.end_date for b in reference]
     assert list(corpus.tokens(range(len(corpus)))) == [list(tm.tokens) for tm in everything]
     some = list(range(len(corpus)))[::-2]
@@ -759,7 +759,7 @@ def test_load_corpus_warns_on_empty_weeks(tmp_path, caplog):
     p = tmp_path / "msgs.jsonl"
     write_jsonl(p, [rec("a", "2009-09-01T00:00:00Z")])
     corpus = load_corpus(p, FIRST_END, 3)
-    assert corpus.totals() == [1, 0, 0]
+    assert corpus.week_totals == (1, 0, 0)
     assert "empty week bucket(s): 2, 3" in caplog.text
 
 

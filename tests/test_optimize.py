@@ -1,11 +1,13 @@
 """Quasi-Newton minimizer against closed-form and scipy oracles."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from ilitrack import optimize
 from ilitrack.optimize import OptimizeResult, minimize_lbfgs
 
 
@@ -130,6 +132,7 @@ def test_memory_one_still_converges():
     M = rng.normal(size=(5, 5))
     A = M @ M.T + np.eye(5)
     b = rng.normal(size=5)
-    res = minimize_lbfgs(quadratic(A, b), np.zeros(5), tol=1e-9, memory=1, max_iters=5000)
+    with mock.patch.object(optimize, "_MEMORY", 1):
+        res = minimize_lbfgs(quadratic(A, b), np.zeros(5), tol=1e-9, max_iters=5000)
     assert res.converged
     np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-7)

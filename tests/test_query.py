@@ -15,8 +15,10 @@ from ilitrack import corpus as corpus_module
 from ilitrack.classify import (
     ClassifierError,
     ClassifierModel,
+    WeekScores,
     bucket_fractions,
     predict_proba,
+    query_fraction_series,
     week_scores,
 )
 from ilitrack.corpus import Corpus, WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
@@ -26,14 +28,12 @@ from ilitrack.query import (
     KNOWN_PHRASES,
     Query,
     QueryError,
-    QueryFractionSeries,
     QueryParseError,
     Term,
     count_matches,
     match_rows,
     matches,
     parse_query,
-    query_fraction_series,
 )
 from ilitrack.simulate import SimulationError, corpus_spurious_pool
 
@@ -320,7 +320,7 @@ def test_count_and_fraction():
     b = bucket(["flu is here", "nothing", "bad cough", "also nothing"])
     q = parse_query("flu cough")
     assert count_matches(q, b) == 2
-    assert query_fraction_series(q, [b]).values == (0.5,)
+    assert [s.fractions()[0] for s in query_fraction_series(q, [b])] == [0.5]
 
 
 def test_fraction_empty_bucket_raises():
@@ -333,11 +333,8 @@ def test_query_fraction_series():
     b1 = bucket(["flu", "ok", "flu twice"], week_index=1, end=SAT1)
     b2 = bucket(["fine", "fine"], week_index=2, end=date(2009, 9, 12))
     series = query_fraction_series(parse_query("flu"), [b1, b2])
-    assert series.week_indices == (1, 2)
-    assert series.match_counts == (2, 0)
-    assert series.totals == (3, 2)
-    assert series.values == (2 / 3, 0.0)
-    assert series.end_dates == (SAT1, date(2009, 9, 12))
+    assert series == [WeekScores(1, 3, (1.0, 1.0)), WeekScores(2, 2, ())]
+    assert [s.fractions()[0] for s in series] == [2 / 3, 0.0]
 
 
 def test_query_fraction_series_rejects_empty_weeks():
@@ -345,25 +342,6 @@ def test_query_fraction_series_rejects_empty_weeks():
     b2 = bucket([], week_index=2, end=date(2009, 9, 12))
     with pytest.raises(QueryError, match="2"):
         query_fraction_series(parse_query("flu"), [b1, b2])
-
-
-def test_fraction_series_validation():
-    q = parse_query("flu")
-    with pytest.raises(QueryError, match="equal length"):
-        QueryFractionSeries(
-            query=q, week_indices=(1,), end_dates=(), match_counts=(1,),
-            totals=(2,), values=(0.5,),
-        )
-    with pytest.raises(QueryError, match="inconsistent"):
-        QueryFractionSeries(
-            query=q, week_indices=(1,), end_dates=(SAT1,), match_counts=(1,),
-            totals=(2,), values=(0.6,),
-        )
-    with pytest.raises(QueryError, match="positive"):
-        QueryFractionSeries(
-            query=q, week_indices=(1,), end_dates=(SAT1,), match_counts=(0,),
-            totals=(0,), values=(0.0,),
-        )
 
 
 def test_gate_query_on_realistic_texts():
@@ -456,11 +434,7 @@ def test_columnar_matching_agrees_with_matches(query, weeks_of_texts):
     # With no model, week_scores gives the keywords counts without scoring a row.
     with mock.patch.object(Corpus, "tokens", side_effect=AssertionError("a row was read")):
         scores = week_scores(match_rows(query, corpus), corpus, None)
-    oracle = query_fraction_series(query, buckets)
-    assert [(s.week_index, len(s.probs), s.total, s.fractions()[0]) for s in scores] == list(
-        zip(oracle.week_indices, oracle.match_counts, oracle.totals, oracle.values)
-    )
-    assert all(p == 1.0 for s in scores for p in s.probs)
+    assert scores == query_fraction_series(query, buckets)
 
 
 def test_columnar_phrase_never_straddles_messages(tmp_path):
@@ -577,7 +551,7 @@ def test_a_corpus_read_for_the_bare_terms_equals_the_whole_corpus_on_its_rows(
         holding = np.logical_or.reduce([full.rows_with(t) for t in corpus.phrases])
         assert kept == np.flatnonzero(holding).tolist()
         assert corpus.seconds.tolist() == full.seconds[kept].tolist()
-        assert corpus.totals() == full.totals()
+        assert corpus.week_totals == full.week_totals
         assert match_rows(query, corpus).tolist() == matched[kept].tolist()
         assert week_scores(match_rows(query, corpus), corpus, None) == week_scores(
             matched, full, None
@@ -593,7 +567,7 @@ def test_match_rows_rejects_a_term_the_corpus_was_not_read_for(tmp_path):
     p = tmp_path / "msgs.jsonl"
     write_weeks(p, [["flu shot", "sore throat", "flu in bed", "bed"]])
     corpus = load_corpus(p, SAT1, 1, phrases=[("flu",)])
-    assert len(corpus) == 2 and corpus.totals() == [4]
+    assert len(corpus) == 2 and corpus.week_totals == (4,)
     # + and - groups need no phrase: they only narrow the rows a bare term finds.
     assert match_rows(parse_query("flu +shot -bed"), corpus).tolist() == [True, False]
     for text in ("flu sore", '"flu shot"', "bed +flu"):

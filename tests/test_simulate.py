@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from ilitrack import corpus as corpus_module
 from ilitrack.classify import (
+    METHODS,
     ClassifierModel,
     WeekScores,
     bucket_fractions,
+    method_series,
     predict_proba,
     score_tokens,
     week_scores,
@@ -28,7 +30,6 @@ from ilitrack.simulate import (
     DEFAULT_AUTHOR_MARKERS,
     DEFAULT_SCHEDULE_COUNTS,
     DEFAULT_TEXT_MARKERS,
-    METHODS,
     REFERENCE_MSE,
     InjectionSchedule,
     SimulationError,
@@ -39,7 +40,6 @@ from ilitrack.simulate import (
     inject,
     mse_vs_baseline,
     report_csv,
-    method_series,
     run_simulation,
     summary_json,
 )
