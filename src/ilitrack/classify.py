@@ -14,6 +14,7 @@ weights are unique regardless of initialization.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -418,56 +419,69 @@ METHODS = ("keywords", "classify-soft", "classify-hard")
 
 @dataclass(frozen=True, slots=True)
 class WeekScores:
-    """One week as the classifier sees it: its message count, and the
-    predict_proba of each message that matches the query (1.0 each for the
-    keywords method). Every weekly fraction follows from it, and an
-    injection only adds to both."""
+    """One week as the classifier sees it: its message count, the messages
+    that match the query, those the classifier keeps (probability above
+    0.5) and the sum of their predict_proba (1.0 each for the keywords
+    method). Its size does not grow with the week, and records of one week
+    add up (+), as an injection adds to one."""
 
     week_index: int
     total: int
-    probs: tuple[float, ...]
+    matches: int
+    kept: int
+    soft: int  # the sum times 2**1074, exact: a float64 in [0, 1] is a multiple of 2**-1074
 
     def __post_init__(self) -> None:
         if self.total <= 0:
             raise ClassifierError(f"week {self.week_index}: empty bucket has no fraction")
 
-    @property
-    def kept(self) -> int:
-        """Matches the classifier keeps: probability strictly above 0.5."""
-        return sum(p > 0.5 for p in self.probs)
+    @classmethod
+    def of(cls, week_index: int, total: int, probs: Iterable[float],
+           counts: Iterable[int] | None = None) -> "WeekScores":
+        """The record of total messages whose matches have probabilities
+        probs, each counts[i] times (once when counts is None)."""
+        matches = kept = soft = 0
+        for p, c in zip(probs, itertools.repeat(1) if counts is None else counts):
+            num, den = p.as_integer_ratio()  # den is a power of two, at most 2**1074
+            matches += c
+            kept += c * (p > 0.5)
+            soft += c * num << (1075 - den.bit_length())
+        return cls(week_index, total, matches, kept, soft)
+
+    def __add__(self, other: "WeekScores") -> "WeekScores":
+        if other.week_index != self.week_index:
+            raise ClassifierError(f"cannot add week {other.week_index} to week {self.week_index}")
+        return WeekScores(self.week_index, self.total + other.total, self.matches + other.matches,
+                          self.kept + other.kept, self.soft + other.soft)
 
     def fractions(self) -> tuple[float, float, float]:
         """(plain, soft, hard): the matches, their summed probability and the
-        kept matches, each over the whole week. fsum is exactly rounded, so
-        soft does not depend on the order of probs."""
+        kept matches, each over the whole week. The exact sum is rounded
+        once, so soft equals math.fsum of the probabilities over n."""
         n = self.total
-        return len(self.probs) / n, math.fsum(self.probs) / n, self.kept / n
+        return self.matches / n, (self.soft / (1 << 1074)) / n, self.kept / n
 
 
 def week_scores(
     matched: np.ndarray, corpus: Corpus, model: ClassifierModel | None
 ) -> list[WeekScores]:
     """WeekScores of weeks 1..corpus.weeks for a query whose match_rows are
-    matched. Each matching row is tokenized and scored in turn, and only
-    its probability is kept. With no model every match keeps probability
-    1.0, which is the keywords method, and no row's tokens are read."""
+    matched. Each matching row is tokenized, scored and added to its week's
+    record in turn. With no model every match keeps probability 1.0, which
+    is the keywords method, and no row's tokens are read."""
     totals = corpus.week_totals
     empty = [w for w, total in enumerate(totals, start=1) if total == 0]
     if empty:
         raise ClassifierError(
             "cannot compute fractions over empty week bucket(s): " + ", ".join(map(str, empty))
         )
-    rows = np.flatnonzero(matched)
+    counts = np.bincount(corpus.week[matched], minlength=corpus.weeks + 1)[1:].tolist()
+    weeks = enumerate(zip(totals, counts), start=1)
     if model is None:
-        probs = [1.0] * len(rows)
-    else:
-        probs = [score_tokens(model, tokens) for tokens in corpus.tokens(rows)]
-    # Weeks ascend in time order: week w's matches are probs[ends[w - 1] : ends[w]].
-    ends = np.cumsum(np.bincount(corpus.week[matched], minlength=corpus.weeks + 1)).tolist()
-    return [
-        WeekScores(w, total, tuple(probs[ends[w - 1] : ends[w]]))
-        for w, total in enumerate(totals, start=1)
-    ]
+        return [WeekScores.of(w, total, [1.0], [c]) for w, (total, c) in weeks]
+    # Weeks ascend in time order, so week w's rows follow week w - 1's.
+    probs = (score_tokens(model, tokens) for tokens in corpus.tokens(np.flatnonzero(matched)))
+    return [WeekScores.of(w, total, itertools.islice(probs, c)) for w, (total, c) in weeks]
 
 
 def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> list[WeekScores]:
@@ -480,7 +494,7 @@ def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> list[W
             "cannot compute fractions over empty week bucket(s): " + ", ".join(map(str, empty))
         )
     return [
-        WeekScores(b.week_index, len(b.messages), (1.0,) * count_matches(query, b))
+        WeekScores.of(b.week_index, len(b.messages), [1.0], [count_matches(query, b)])
         for b in buckets
     ]
 
@@ -490,8 +504,8 @@ def bucket_fractions(
 ) -> tuple[float, float, float]:
     """(plain, soft, hard) fractions of one bucket, matching and scoring its
     messages one by one: the reference that week_scores agrees with."""
-    probs = tuple(predict_proba(model, tm) for tm in bucket.messages if matches(query, tm))
-    return WeekScores(bucket.week_index, len(bucket.messages), probs).fractions()
+    probs = (predict_proba(model, tm) for tm in bucket.messages if matches(query, tm))
+    return WeekScores.of(bucket.week_index, len(bucket.messages), probs).fractions()
 
 
 def method_series(scores: Sequence[WeekScores]) -> dict[str, WeeklySeries]:
@@ -513,6 +527,6 @@ def fractions_csv(scores: Sequence[WeekScores], end_dates: Iterable[date], metho
     rows = ["week_index,end_date,matches,total,fraction"]
     for s, end in zip(scores, end_dates):
         fraction = s.fractions()[i]
-        count = (len(s.probs), fraction * s.total, s.kept)[i]
+        count = (s.matches, fraction * s.total, s.kept)[i]
         rows.append(f"{s.week_index},{end.isoformat()},{count!r},{s.total},{fraction!r}")
     return "\n".join(rows) + "\n"

@@ -13,14 +13,16 @@ import json
 import logging
 import math
 import os
+import pickle
 import re
 import sys
 import time
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -573,8 +575,8 @@ _CHUNK_CHARS = 1 << 18
 # load_corpus checks that ids are unique by their values under this.
 _id_hash = hash
 # load_corpus deals a file's chunks out to at most this many processes:
-# the CPUs it may run on. Where the system does not say (macOS, Windows,
-# where multiprocessing does not fork by default), one process reads.
+# the CPUs it may run on. Where the system does not say (macOS, Windows),
+# one process reads.
 _SHARES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -616,41 +618,38 @@ def _read_rows(
     (_checked), which raises ingest's error naming the first bad line.
 
     shares processes read the file: this one reads share 0 and shares - 1
-    forked children read the others (_read_share), each opening the file
-    itself and sending back its whole share in one message (_send_share).
-    The children are forked, never spawned: the id hashes of every share
-    are compared with each other, and only a forked child keeps this
-    process's hash secret, so that hash(str) gives the same value in every
-    share. A child that exits before sending its share ends its pipe, and
-    ChildProcessError names its exit code."""
-    if shares > 1:
-        import multiprocessing  # imported here: it adds about 16 ms to start-up
+    forked children the others, each writing its share into a pipe as one
+    pickle (_send_share), loaded here as it streams in. They are forked,
+    never spawned: only a forked child keeps this process's hash secret, so
+    that the id hashes of all shares compare. A child that exits before
+    sending its share ends its pipe, and ChildProcessError names its exit
+    code. Each child is killed, if it runs, and reaped before this ends."""
+    import signal  # imported here: it adds about 1 ms to start-up
 
-        context = multiprocessing.get_context("fork")
-    children = []
+    children: list[tuple[int, BinaryIO]] = []  # (pid, the read end of its pipe)
     try:
         for share in range(1, shares):
-            reader, writer = context.Pipe(duplex=False)
-            args = (writer, path, first_week_end, weeks, phrases, share, shares)
-            process = context.Process(target=_send_share, args=args, daemon=True)
-            process.start()
-            children.append((process, reader))
-            writer.close()  # only the child holds it now
+            source, sink = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            with sink:  # only the child holds it open once this closes it
+                if not (pid := os.fork()):
+                    _send_share(sink, path, first_week_end, weeks, phrases, share, shares)
+            children.append((pid, source))
         read = [list(_read_share(path, first_week_end, weeks, phrases, 0, shares))]
-        for share, (process, reader) in enumerate(children, start=1):
+        for share, (pid, source) in enumerate(children, start=1):
             try:
-                read.append(reader.recv())
-            except (EOFError, OSError):
-                process.join()
+                read.append(pickle.load(source))
+            except (EOFError, pickle.UnpicklingError):
+                ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # reaped below
+                code = ended.si_status if ended.si_code == os.CLD_EXITED else -ended.si_status
                 raise ChildProcessError(
                     f"{path}: the process reading share {share} of the file exited with "
-                    f"code {process.exitcode} before sending it"
+                    f"code {code} before sending it"
                 ) from None
     finally:
-        for process, reader in children:
-            process.terminate()
-            process.join()
-            reader.close()
+        for pid, source in children:
+            os.kill(pid, signal.SIGKILL)  # moot for a child that has sent its share
+            os.waitpid(pid, 0)
+            source.close()
     # Chunk i of the file is piece i // shares of share i % shares. A share
     # ends at the first chunk it rejects, so no chunk before bad is missing.
     pieces = [p for row in itertools.zip_longest(*read) for p in row if p is not None]
@@ -658,14 +657,15 @@ def _read_rows(
     pieces = pieces[: None if bad is None else bad + 1]
     hashes = np.concatenate([np.zeros(0, np.int64), *(p[0] for p in pieces)])
     hashes.sort()  # in place: a sorted copy would hold every hash a third time
-    rows_read, repeated = len(hashes), np.unique(hashes[1:][hashes[1:] == hashes[:-1]])
+    rows_read, repeated = len(hashes), hashes[1:][hashes[1:] == hashes[:-1]]  # with repeats
     del hashes  # before a check-only pass reads chunks, and the columns are concatenated
     if bad is not None or len(repeated):
         began = time.perf_counter()
         wanted = {i for i, p in enumerate(pieces) if i == bad or np.isin(p[0], repeated).any()}
+        repeated = set(repeated.tolist())  # each once: np.unique would import numpy.ma
         cause = "a rejected record" if bad is not None else f"{len(repeated)} repeated id hash(es)"
         try:
-            for _ in _checked(_lines_of(path, wanted), set(repeated.tolist())):
+            for _ in _checked(_lines_of(path, wanted), repeated):
                 pass
         finally:
             log.info("load_corpus %s: check-only pass for %s, %.3f s, %d chunk(s) read line by"
@@ -720,10 +720,19 @@ def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
     return seconds[mask], *([column[r] for r in keep] for column in columns)
 
 
-def _send_share(writer, *share_args) -> None:
-    """In a forked child: send _read_share(*share_args) in one message, which
-    holds every id's hash but only the rows kept: little, for phrases."""
-    writer.send(list(_read_share(*share_args)))
+def _send_share(sink: BinaryIO, *share_args) -> NoReturn:
+    """In a forked child: write _read_share(*share_args) to sink as one
+    pickle (every id's hash, but only the rows kept), then exit with code 0,
+    or 1 on an error, never returning into the parent's frames."""
+    code = 1
+    try:
+        pickle.dump(list(_read_share(*share_args)), sink, pickle.HIGHEST_PROTOCOL)
+        sink.flush()
+        code = 0
+    except Exception:  # the parent reports the exit code; this says why
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()

@@ -9,7 +9,6 @@ un-injected estimates. Reported errors are on the percentage-point scale.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -199,7 +198,7 @@ def inject(
             continue
         day = datetime.combine(bucket.end_date, time(), timezone.utc)
         injected = []
-        for i in _draws(rng, pool, bucket.week_index, n).tolist():
+        for i in rng.integers(0, len(pool), size=n).tolist():
             tokens = pool.tokens[i]
             clone = Message(id=f"#inj{ordinal}", timestamp=day, author="", text=" ".join(tokens))
             injected.append(TokenizedMessage(message=clone, tokens=tokens))
@@ -208,12 +207,8 @@ def inject(
     return out
 
 
-def _draws(rng: np.random.Generator, pool: SpuriousPool, week: int, n: int) -> np.ndarray:
-    """The pool indices of week's n injected messages, drawn with replacement, as one array."""
-    try:
-        return rng.integers(0, len(pool), size=n)
-    except (ValueError, MemoryError):  # numpy refuses a size past what it can index
-        raise SimulationError(f"week {week}: cannot draw {n} injected messages") from None
+# run_simulation draws a week's injected messages this many at a time.
+_DRAW_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,7 +253,8 @@ def run_simulation(
     is inject()'s as arithmetic: the same draws pick pool messages, each
     scored once, and an injected week gains n messages and, for each pool
     message matching the query, its probability as many times as it was
-    picked (np.bincount of the draws, which stay one numpy array).
+    picked. Drawn _DRAW_BLOCK at a time, the picks are those of inject()'s
+    one draw a week: numpy keeps a spare 32-bit half in the bit generator.
     """
     missing = [m for m in METHODS if m not in models]
     if missing:
@@ -267,18 +263,19 @@ def run_simulation(
     absent = sorted(w for w in schedule.weeks if w not in clean)
     if absent:
         raise SimulationError(f"schedule week(s) {absent} not present in the corpus")
-    pool_probs = [
-        score_tokens(classifier, tokens) if matches_tokens(query, tokens) else None
-        for tokens in pool.tokens
-    ]
+    matching = [i for i, tokens in enumerate(pool.tokens) if matches_tokens(query, tokens)]
+    probs = [score_tokens(classifier, pool.tokens[i]) for i in matching]
     rng = np.random.default_rng([seed, 2])
     injected = dict(clean)
     for week, n in sorted(schedule.pairs):  # inject()'s order: by week, no draw for 0
+        if n * 8 > np.iinfo(np.intp).max:  # more than numpy could draw in one array
+            raise SimulationError(f"week {week}: cannot draw {n} injected messages")
+        picks = np.zeros(len(pool), np.int64)
+        for start in range(0, n, _DRAW_BLOCK):
+            block = rng.integers(0, len(pool), size=min(_DRAW_BLOCK, n - start))
+            picks += np.bincount(block, minlength=len(pool))
         if n:
-            picks = np.bincount(_draws(rng, pool, week, n), minlength=len(pool)).tolist()
-            repeats = (itertools.repeat(p, c) for p, c in zip(pool_probs, picks) if p is not None)
-            probs = tuple(itertools.chain(clean[week].probs, *repeats))
-            injected[week] = WeekScores(week, clean[week].total + n, probs)
+            injected[week] = clean[week] + WeekScores.of(week, n, probs, picks[matching].tolist())
 
     def estimates(weeks: Mapping[int, WeekScores]) -> dict[str, tuple[float, ...]]:
         series = method_series([weeks[w] for w in schedule.weeks])

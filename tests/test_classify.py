@@ -29,11 +29,11 @@ from ilitrack.classify import (
     train,
 )
 from ilitrack.classify import _design_matrix, _fingerprint
-from ilitrack.corpus import WeekBucket, tokenize_message
+from ilitrack.corpus import WeekBucket
 from ilitrack.query import count_matches, matches, parse_query
 from ilitrack.regress import sigmoid
 
-from conftest import msg, tmsg
+from conftest import tmsg
 
 from datetime import date
 
@@ -414,7 +414,7 @@ def test_soft_and_hard_fractions_closed_form():
     assert soft == pytest.approx(expected_soft, rel=1e-15)
     # Only the genuine-looking message clears 0.5.
     assert hard == 0.25
-    scores = WeekScores(week_index=1, total=4, probs=(p_genuine, p_newsy, p_newsy))
+    scores = WeekScores.of(1, 4, (p_genuine, p_newsy, p_newsy))
     assert scores.kept == 1
     assert scores.fractions() == (plain, soft, hard)
 
@@ -441,6 +441,49 @@ def test_soft_fraction_is_order_independent():
     assert bucket_fractions(query, b1, model) == bucket_fractions(query, b2, model)
 
 
+# Probabilities at the edges of float64: subnormals, 0.5 and 1.0, and
+# logistic outputs of large logits, which round to 1.0 or fall to subnormals.
+PROBABILITIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0**-1000),
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 0.5, math.nextafter(0.5, 1.0), 1.0]),
+    st.floats(-800.0, 800.0).map(sigmoid),
+)
+
+
+def fsum_repeated(pairs):
+    """math.fsum of each probability p repeated c times, for (p, c) in
+    pairs: c copies of p sum exactly to the p * 2**k of c's set bits k."""
+    return math.fsum(p * 2.0**k for p, c in pairs for k in range(c.bit_length()) if c >> k & 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(PROBABILITIES, st.integers(1, 10**6)), max_size=8),
+       st.integers(0, 10**7))
+def test_soft_fraction_is_fsum_of_the_probabilities_bit_for_bit(pairs, unmatched):
+    probs = [p for p, _ in pairs]
+    counts = [c for _, c in pairs]
+    total = sum(counts) + unmatched or 1
+    scores = WeekScores.of(1, total, probs, counts)
+    assert scores.fractions()[1] == fsum_repeated(pairs) / total
+    assert scores.matches == sum(counts)
+    assert scores.kept == sum(c for p, c in pairs if p > 0.5)
+    once = WeekScores.of(1, total, probs)
+    assert once.fractions()[1] == math.fsum(probs) / total
+    # Records of one week add up to the record of all their matches.
+    assert once + scores == WeekScores.of(1, 2 * total, probs * 2, [1] * len(probs) + counts)
+
+
+def test_soft_fraction_of_a_million_copies_is_their_fsum():
+    p = sigmoid(-3.7)
+    scores = WeekScores.of(4, 3 * 10**6, [p, 0.5, 5e-324], [10**6, 10**6 - 1, 7])
+    copies = [p] * 10**6 + [0.5] * (10**6 - 1) + [5e-324] * 7
+    assert scores.fractions() == ((2 * 10**6 + 6) / (3 * 10**6),
+                                  math.fsum(copies) / (3 * 10**6), 0.0)
+    with pytest.raises(ClassifierError, match="cannot add week 5 to week 4"):
+        scores + WeekScores.of(5, 1, [])
+
+
 def test_fractions_empty_bucket_raises():
     model = hand_model()
     empty = WeekBucket(week_index=2, end_date=date(2009, 9, 12), messages=())
@@ -448,7 +491,7 @@ def test_fractions_empty_bucket_raises():
     with pytest.raises(ClassifierError, match="week 2: empty"):
         bucket_fractions(query, empty, model)
     with pytest.raises(ClassifierError, match="week 2: empty"):
-        WeekScores(week_index=2, total=0, probs=())
+        WeekScores(week_index=2, total=0, matches=0, kept=0, soft=0)
 
 
 def test_bucket_fractions_agrees_with_componentwise():

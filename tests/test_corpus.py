@@ -4,7 +4,10 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
+import time
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -538,6 +541,72 @@ def test_load_corpus_names_the_exit_code_of_a_reader_that_dies(tmp_path):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("ending", ["clean", "error", "interrupt"])
+def test_load_corpus_reaps_every_reader(tmp_path, ending):
+    # The readers of shares 1 and 2 are still reading when this process
+    # fails at share 0, so they must be killed, not waited for.
+    p = tmp_path / "msgs.jsonl"
+    write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z") for i in range(20)])
+    read_share, fork, pids = corpus_module._read_share, os.fork, []
+    failure = {"clean": None, "error": OSError("disk gone"), "interrupt": KeyboardInterrupt()}
+
+    def recorded_fork():
+        pid = fork()
+        pids.extend([pid] if pid else [])
+        return pid
+
+    def fails(path, first_week_end, weeks, phrases, share, shares):
+        if failure[ending] is None:
+            return read_share(path, first_week_end, weeks, phrases, share, shares)
+        if share:
+            time.sleep(60)
+        raise failure[ending]
+
+    def give_up(signum, frame):
+        raise TimeoutError("load_corpus still waits for a reader")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(20)
+    try:
+        with mock.patch.object(os, "fork", recorded_fork), \
+                mock.patch.object(corpus_module, "_read_share", fails):
+            if failure[ending] is None:
+                assert len(load_in_chunks(37, p, FIRST_END, 1, shares=3)) == 20
+            else:
+                with pytest.raises(type(failure[ending])):
+                    load_in_chunks(37, p, FIRST_END, 1, shares=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # reaped: no longer a child of this process
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_forking_load_imports_neither_multiprocessing_nor_numpy_ma(tmp_path):
+    # Each reader streams its share through a pipe of its own, and repeated
+    # id hashes are found without np.unique, which imports numpy.ma.
+    p = tmp_path / "msgs.jsonl"
+    write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text="flu " + "x " * 150)
+                    for i in range(100)])
+    probe = (
+        "import os, sys\n"
+        "from datetime import date\n"
+        "from ilitrack import corpus\n"
+        "corpus._SHARES, corpus._CHUNK_CHARS, fork, forks = 2, 4096, os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        f"rows = len(corpus.load_corpus({str(p)!r}, date(2009, 9, 5), 1))\n"
+        "chunks = len(list(corpus._chunks(sys.argv[1])))\n"
+        "print(rows, len(forks), chunks > 2, sorted({'multiprocessing', 'numpy.ma'} & set(sys.modules)))\n"
+    )
+    found = subprocess.run(
+        [sys.executable, "-c", probe, str(p)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(corpus_module.__file__).parents[1])},
+    )
+    assert found.stdout == "100 1 True []\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package and in the tests is used by
+its module.
 
 A name imported only so that another module can look it up there (the
 names perfbench/spans.py wraps) carries `# noqa: F401` on its line, and
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ilitrack"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,6 +35,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

@@ -333,7 +333,7 @@ def test_query_fraction_series():
     b1 = bucket(["flu", "ok", "flu twice"], week_index=1, end=SAT1)
     b2 = bucket(["fine", "fine"], week_index=2, end=date(2009, 9, 12))
     series = query_fraction_series(parse_query("flu"), [b1, b2])
-    assert series == [WeekScores(1, 3, (1.0, 1.0)), WeekScores(2, 2, ())]
+    assert series == [WeekScores.of(1, 3, (1.0, 1.0)), WeekScores.of(2, 2, ())]
     assert [s.fractions()[0] for s in series] == [2 / 3, 0.0]
 
 
@@ -503,10 +503,12 @@ def test_week_scores_agree_with_bucket_fractions(query, model, weeks_of_texts, s
         scores = week_scores(match_rows(query, corpus), corpus, model)
         buckets = reference_buckets(p, 3)
     assert [(s.week_index, s.total) for s in scores] == [(b.week_index, len(b)) for b in buckets]
-    # The same probabilities in the same (timestamp, id) order, and equal
+    # The same probabilities in each week, summed exactly, and equal
     # fractions: ==, not approx.
-    assert [s.probs for s in scores] == [
-        tuple(predict_proba(model, tm) for tm in b.messages if matches(query, tm)) for b in buckets
+    assert scores == [
+        WeekScores.of(b.week_index, len(b),
+                      [predict_proba(model, tm) for tm in b.messages if matches(query, tm)])
+        for b in buckets
     ]
     assert [s.fractions() for s in scores] == [bucket_fractions(query, b, model) for b in buckets]
 

@@ -1,7 +1,6 @@
 """Spurious-message pools, injection, and robustness scoring."""
 
 import json
-import math
 import tempfile
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
@@ -13,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilitrack import corpus as corpus_module
+from ilitrack import simulate as simulate_module
 from ilitrack.classify import (
     METHODS,
     ClassifierModel,
@@ -333,7 +333,7 @@ def identity_models():
 def scores_of(buckets, classifier, query=GATE_QUERY):
     """The WeekScores that week_scores makes of a corpus with these buckets."""
     return [
-        WeekScores(
+        WeekScores.of(
             b.week_index,
             len(b.messages),
             tuple(predict_proba(classifier, tm) for tm in b.messages if matches(query, tm)),
@@ -466,6 +466,33 @@ def varied_pool():
 def test_run_simulation_equals_bucket_fractions_over_inject(weeks, pairs, seed, query_text, theta):
     # Schedules come with zero counts and weeks out of order; some queries
     # reject some pool messages, whose picks then only swell the total.
+    check_run_simulation_against_inject(weeks, pairs, seed, query_text, theta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(WEEK_TEXTS), min_size=1, max_size=3), min_size=4, max_size=4),
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 400)),
+        min_size=1, max_size=4, unique_by=lambda pair: pair[0],
+    ),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(QUERIES),
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+)
+def test_run_simulation_in_small_blocks_equals_bucket_fractions_over_inject(
+    weeks, pairs, seed, query_text, theta
+):
+    # Counts past the block size: drawing 7 at a time gives inject()'s
+    # single draw, and leaves the generator where it leaves it for the
+    # next week's draws.
+    with mock.patch.object(simulate_module, "_DRAW_BLOCK", 7):
+        check_run_simulation_against_inject(weeks, pairs, seed, query_text, theta)
+
+
+def check_run_simulation_against_inject(weeks, pairs, seed, query_text, theta):
+    """run_simulation's report equals the regression of bucket_fractions
+    over the buckets, with and without inject()."""
     buckets = [
         WeekBucket(
             week_index=w,
@@ -505,7 +532,7 @@ def test_run_simulation_equals_bucket_fractions_over_inject(weeks, pairs, seed, 
 
 
 def test_method_series_clamps_each_method_off_the_boundary():
-    scores = [WeekScores(1, 4, (0.9, 0.2)), WeekScores(2, 4, ())]
+    scores = [WeekScores.of(1, 4, (0.9, 0.2)), WeekScores.of(2, 4, ())]
     series = method_series(scores)
     assert series["keywords"].values == (0.5, 0.125)
     assert series["classify-soft"].values == (1.1 / 4, 0.125)
@@ -574,11 +601,13 @@ def test_reference_mse_values():
 # What week_scores and run_simulation may hold at their peak beyond what
 # they return. At 20,000 matching rows week_scores peaked 13.6 MB above its
 # result while it held every row's tokens, and 1.8 MB while it held two
-# offset lists over all rows; now 0.7 MB. With the default schedule
-# run_simulation peaked 4.9 MB above its report while it held a Python int
-# per draw; now 1.1 MB, most of it the probabilities' tuple in the week
-# of 100,000.
-EXTRA_BYTES = 3 * 2**19
+# offset lists over all rows; 0.7 MB while its result held a float per
+# match, and now 0.87 MB above a result of two small records: its whole
+# peak fell from 1.35 MB, and what is left is the matching rows' order.
+# With the default schedule run_simulation peaked 4.9 MB above its report
+# while it held a Python int per draw, 1.1 MB while it held a probability
+# per matching draw, and now 0.2-0.33 MB, with draws made 2^13 at a time.
+EXTRA_BYTES = {"week_scores": 9 * 2**17, "run_simulation": 2**19}
 
 
 def traced_extra(call):
@@ -609,16 +638,16 @@ def test_week_scores_holds_no_token_list_per_row(tmp_path):
     model = ClassifierModel(vocabulary={"flu": 1, "ward": 2}, theta=(0.5, 0.25, -1.0),
                             l2_lambda=1.0, trained_on="t", converged=True)
     scores, extra = traced_extra(lambda: week_scores(matched, corpus, model))
-    assert [len(s.probs) for s in scores] == [10_080, 9_920]
-    assert extra < EXTRA_BYTES
+    assert [s.matches for s in scores] == [10_080, 9_920]
+    assert extra < EXTRA_BYTES["week_scores"]
 
 
 def test_run_simulation_holds_nothing_per_draw():
     # The default schedule draws 116,000 times from a pool of 1,000.
     pool = SpuriousPool(tokens=tuple(("flu", f"w{i}") for i in range(1000)), source_rule="r")
-    scores = [WeekScores(w, 100, (0.9,) * 10) for w in range(1, 6)]
+    scores = [WeekScores.of(w, 100, [0.9], [10]) for w in range(1, 6)]
     schedule = InjectionSchedule.default_for(range(1, 6))
     report, extra = traced_extra(lambda: run_simulation(
         scores, pool, schedule, identity_models(), keep_all_classifier(), 0))
     assert report.injected_counts == DEFAULT_SCHEDULE_COUNTS
-    assert extra < EXTRA_BYTES
+    assert extra < EXTRA_BYTES["run_simulation"]
