@@ -466,22 +466,24 @@ def week_scores(
     matched: np.ndarray, corpus: Corpus, model: ClassifierModel | None
 ) -> list[WeekScores]:
     """WeekScores of weeks 1..corpus.weeks for a query whose match_rows are
-    matched. Each matching row is tokenized, scored and added to its week's
-    record in turn. With no model every match keeps probability 1.0, which
-    is the keywords method, and no row's tokens are read."""
+    matched. Each week's matching rows, one week's at a time, are tokenized,
+    scored and added to its record in file order (its sum is exact, so no
+    order changes a bit). With no model every match keeps probability 1.0,
+    which is the keywords method, and no row's tokens are read."""
     totals = corpus.week_totals
     empty = [w for w, total in enumerate(totals, start=1) if total == 0]
     if empty:
         raise ClassifierError(
             "cannot compute fractions over empty week bucket(s): " + ", ".join(map(str, empty))
         )
-    counts = np.bincount(corpus.week[matched], minlength=corpus.weeks + 1)[1:].tolist()
-    weeks = enumerate(zip(totals, counts), start=1)
     if model is None:
-        return [WeekScores.of(w, total, [1.0], [c]) for w, (total, c) in weeks]
-    # Weeks ascend in time order, so week w's rows follow week w - 1's.
-    probs = (score_tokens(model, tokens) for tokens in corpus.tokens(np.flatnonzero(matched)))
-    return [WeekScores.of(w, total, itertools.islice(probs, c)) for w, (total, c) in weeks]
+        counts = np.bincount(corpus.week[matched], minlength=corpus.weeks + 1)[1:].tolist()
+        return [WeekScores.of(w, total, [1.0], [c])
+                for w, (total, c) in enumerate(zip(totals, counts), start=1)]
+    rows = (np.flatnonzero(matched & (corpus.week == w)) for w in range(1, corpus.weeks + 1))
+    return [WeekScores.of(w, total, (score_tokens(model, tokens)
+                                     for tokens in corpus.tokens(r, in_time_order=False)))
+            for w, (total, r) in enumerate(zip(totals, rows), start=1)]
 
 
 def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> list[WeekScores]:

@@ -16,6 +16,7 @@ import os
 import pickle
 import re
 import sys
+import tempfile
 import time
 import traceback
 from contextlib import contextmanager
@@ -488,16 +489,18 @@ class Corpus:
         normalized text."""
         return _rows_found([_phrase_pattern(tokens)], self.normalized, self.starts)
 
-    def tokens(self, rows: Sequence[int]) -> Iterator[list[str]]:
+    def tokens(self, rows: Sequence[int], in_time_order: bool = True) -> Iterator[list[str]]:
         """tokenize(text) of each row's text, one row at a time, in (timestamp,
-        id) order as bucket_weekly orders messages: the maximal runs of token
-        characters in its normalized text. Only the order and offsets are held."""
+        id) order as bucket_weekly orders messages (in the order of rows if
+        not in_time_order): the maximal runs of token characters in its
+        normalized text. Only the order and offsets are held."""
         order = np.asarray(rows, dtype=np.int64)
-        order = order[np.argsort(self.seconds[order], kind="stable")]
-        # Rows of one second go by id, in Python: a numpy "U" array drops trailing NULs.
-        same = np.diff(self.seconds[order]) == 0
-        tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-        order[tied] = sorted(order[tied].tolist(), key=lambda r: (int(self.seconds[r]), self.id(r)))
+        if in_time_order:
+            order = order[np.argsort(self.seconds[order], kind="stable")]
+            # Rows of one second go by id, in Python: a numpy "U" array drops trailing NULs.
+            same = np.diff(self.seconds[order]) == 0
+            tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+            order[tied] = sorted(order[tied].tolist(), key=lambda r: (self.seconds[r], self.id(r)))
         for block in np.split(order, np.arange(1 << 12, len(order), 1 << 12)):
             spans = zip(self.starts[block].tolist(), self.starts[block + 1].tolist())
             yield from (_TOKEN_RE.findall(self.normalized, a, b) for a, b in spans)
@@ -525,20 +528,20 @@ def load_corpus(
 
     The file is read _CHUNK_CHARS characters at a time, each chunk ending
     at the end of a line, and the chunks are dealt out in turn to up to
-    _SHARES processes (_read_rows), one when the file fits in one chunk.
-    In each chunk, lines in the layout messages_jsonl writes are read by
-    one regular expression and checked column by column, other lines are
-    decoded one by one, the rows of each week are counted, rows outside
-    the weeks are dropped and each text is normalized once; the text
-    itself is not kept. The phrases are then searched for in the chunk's
-    normalized texts, and the rows holding one are joined into its columns,
-    which are concatenated once every chunk is read. Ids must be unique
-    across every row read, dropped rows too; only the hash of each is kept,
-    the one column that grows with the file, until the read ends. A bad
-    record, or two equal hashes, start a check-only pass over a few chunks
-    (_read_rows), which raises ingest's error naming the first bad line;
-    when only hashes collide the load goes on. No text is tokenized here:
-    a query finds its rows in the normalized text (Corpus.rows_with), and
+    _SHARES processes forked to read them (_read_rows); this process reads
+    a file that fits in one chunk. In each chunk, lines in the layout
+    messages_jsonl writes are read by one regular expression and checked
+    column by column, other lines are decoded one by one, the rows of each
+    week are counted, rows outside the weeks are dropped and each text is
+    normalized once; the text is not kept. The rows holding a phrase are
+    joined into the chunk's columns, concatenated once every chunk is read.
+    Ids must be unique across every row read, dropped rows too: each reader
+    writes the hash of each, with its chunk, to a temporary directory (12
+    bytes a row, removed on every path), checked one partition at a time.
+    A bad record, or two equal hashes, start a check-only pass over a few
+    chunks, which raises ingest's error naming the first bad line; when
+    only hashes collide the load goes on. No text is tokenized here: a
+    query finds its rows in the normalized text (Corpus.rows_with), and
     scoring tokenizes only the rows it scores (Corpus.tokens).
     """
     began = time.perf_counter()
@@ -578,26 +581,30 @@ _id_hash = hash
 # the CPUs it may run on. Where the system does not say (macOS, Windows),
 # one process reads.
 _SHARES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# Readers write id hashes _SPILL_ROWS rows at a time, split by top bits into
+# _PARTS files (a power of 2, at most 256) each, or 1 for files below _PARTED_BYTES.
+_SPILL_ROWS, _PARTS, _PARTED_BYTES = 1 << 17, 16, 4 << 20
 
 
-def _chunks(path: str | Path) -> Iterator[str]:
-    """The text of a file in chunks of whole lines, as read_lines reads them."""
+def _chunks(path: str | Path, start: int = 0) -> Iterator[tuple[int, str]]:
+    """The tell() cookie of the start and the text of each chunk of a file
+    from start on, in whole lines, as read_lines reads them."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.seek(start)
         while chunk := fh.read(_CHUNK_CHARS):
             if not chunk.endswith("\n"):
                 chunk += fh.readline()
-            yield chunk
+            yield start, chunk
+            start = fh.tell()
 
 
-def _lines_of(path: str | Path, wanted: set[int]) -> Iterator[tuple[int, str]]:
-    """What read_lines(path, CorpusError) yields for the lines of the
-    chunks (_chunks) whose index is in wanted."""
-    line_no = 1
-    for i, chunk in enumerate(itertools.islice(_chunks(path), max(wanted) + 1)):
-        if i in wanted:
-            lines = (m[0] for m in re.finditer(".+\n?|\n", chunk))  # only "\n" ends a line
-            yield from _decoded(path, enumerate(lines, line_no), CorpusError)
-        line_no += chunk.count("\n")
+def _lines_of(path: str | Path, starts: Iterable[tuple[int, int]]) -> Iterator[tuple[int, str]]:
+    """What read_lines(path, CorpusError) yields for the lines of the chunks
+    (_chunks) at each (tell() cookie, number of its first line) of starts."""
+    for start, line_no in starts:
+        chunk = next(_chunks(path, start))[1]
+        lines = (m[0] for m in re.finditer(".+\n?|\n", chunk))  # only "\n" ends a line
+        yield from _decoded(path, enumerate(lines, line_no), CorpusError)
 
 
 @_collector_paused()
@@ -611,70 +618,111 @@ def _read_rows(
     """The number of rows read, the number of rows in each of weeks
     1..weeks, and the POSIX seconds and, chunk by chunk, the columns
     (_read_share) of the rows of those weeks that hold one of the phrases
-    (all of them when phrases is None).
+    (all of them when phrases is None). The first chunk holding a record
+    that ingest rejects, and the chunks up to it holding an _id_hash two
+    ids have, are read again line by line (_checked), which raises
+    ingest's error naming the first bad line.
 
-    The first chunk holding a record that ingest rejects, and the chunks up
-    to it holding an _id_hash two ids have, are read again line by line
-    (_checked), which raises ingest's error naming the first bad line.
-
-    shares processes read the file: this one reads share 0 and shares - 1
-    forked children the others, each writing its share into a pipe as one
-    pickle (_send_share), loaded here as it streams in. They are forked,
-    never spawned: only a forked child keeps this process's hash secret, so
-    that the id hashes of all shares compare. A child that exits before
-    sending its share ends its pipe, and ChildProcessError names its exit
-    code. Each child is killed, if it runs, and reaped before this ends."""
+    One share is read here; more are read by as many forked children, each
+    writing its share into a pipe as one pickle (_send_share), loaded here
+    as it streams in. Only a forked child, never a spawned one, keeps this
+    process's hash secret, so that the id hashes of all shares compare. A
+    child that exits before sending its share ends its pipe, and
+    ChildProcessError names its exit code. Each child is killed, if it
+    runs, and reaped before this ends, and then the temporary directory
+    that every reader wrote its id hashes to (_spilled) is removed."""
     import signal  # imported here: it adds about 1 ms to start-up
 
+    share_args = (path, first_week_end, weeks, phrases)
+    parts = _PARTS if os.path.getsize(path) >= _PARTED_BYTES else 1
     children: list[tuple[int, BinaryIO]] = []  # (pid, the read end of its pipe)
-    try:
-        for share in range(1, shares):
-            source, sink = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
-            with sink:  # only the child holds it open once this closes it
-                if not (pid := os.fork()):
-                    _send_share(sink, path, first_week_end, weeks, phrases, share, shares)
-            children.append((pid, source))
-        read = [list(_read_share(path, first_week_end, weeks, phrases, 0, shares))]
-        for share, (pid, source) in enumerate(children, start=1):
-            try:
-                read.append(pickle.load(source))
-            except (EOFError, pickle.UnpicklingError):
-                ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # reaped below
-                code = ended.si_status if ended.si_code == os.CLD_EXITED else -ended.si_status
-                raise ChildProcessError(
-                    f"{path}: the process reading share {share} of the file exited with "
-                    f"code {code} before sending it"
-                ) from None
-    finally:
-        for pid, source in children:
-            os.kill(pid, signal.SIGKILL)  # moot for a child that has sent its share
-            os.waitpid(pid, 0)
-            source.close()
-    # Chunk i of the file is piece i // shares of share i % shares. A share
-    # ends at the first chunk it rejects, so no chunk before bad is missing.
-    pieces = [p for row in itertools.zip_longest(*read) for p in row if p is not None]
-    bad = next((i for i, p in enumerate(pieces) if p[1] is None), None)
-    pieces = pieces[: None if bad is None else bad + 1]
-    hashes = np.concatenate([np.zeros(0, np.int64), *(p[0] for p in pieces)])
-    hashes.sort()  # in place: a sorted copy would hold every hash a third time
-    rows_read, repeated = len(hashes), hashes[1:][hashes[1:] == hashes[:-1]]  # with repeats
-    del hashes  # before a check-only pass reads chunks, and the columns are concatenated
-    if bad is not None or len(repeated):
+    with tempfile.TemporaryDirectory() as spill:
+        try:
+            for share in range(shares if shares > 1 else 0):
+                source, sink = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+                with sink:  # only the child holds it open once this closes it
+                    if not (pid := os.fork()):
+                        _send_share(sink, spill, parts, *share_args, share, shares)
+                children.append((pid, source))
+            read = [] if children else [_spilled(spill, parts, *share_args, 0, 1)]
+            for share, (pid, source) in enumerate(children):
+                try:
+                    read.append(pickle.load(source))
+                except (EOFError, pickle.UnpicklingError):
+                    ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # reaped below
+                    code = ended.si_status if ended.si_code == os.CLD_EXITED else -ended.si_status
+                    raise ChildProcessError(
+                        f"{path}: the process reading share {share} of the file exited with "
+                        f"code {code} before sending it"
+                    ) from None
+        finally:
+            for pid, source in children:
+                os.kill(pid, signal.SIGKILL)  # moot for a child that has sent its share
+                os.waitpid(pid, 0)
+                source.close()
+        # Chunk i of the file is piece i // shares of share i % shares. A share
+        # ends at the first chunk it rejects, so no chunk before bad is missing.
+        pieces = [p for row in itertools.zip_longest(*read) for p in row if p is not None]
+        bad = next((i for i, p in enumerate(pieces) if p[2] is None), None)
+        pieces = pieces[: None if bad is None else bad + 1]
+
+        def column(part: int, kind: int) -> np.ndarray:  # kind 0: id hashes, 1: their chunks
+            return np.concatenate([np.fromfile(os.path.join(spill, f"{s}-{part}.{kind}"),
+                                               (np.int64, np.int32)[kind]) for s in range(shares)])
+
+        # One partition's hashes at a time, their chunks read only to cut at
+        # bad or to find the chunks holding a repeat.
+        rows_read, repeated, wanted = 0, set(), set()
+        for part in range(parts):
+            hashes = column(part, 0) if bad is None else column(part, 0)[column(part, 1) <= bad]
+            rows_read += len(hashes)
+            hashes.sort()  # in place: a sorted copy would hold the partition twice
+            same = hashes[1:][hashes[1:] == hashes[:-1]]  # each once: np.unique imports numpy.ma
+            if len(same):
+                chunks = column(part, 1)[np.isin(column(part, 0), same)]
+                wanted.update(c for c in chunks.tolist() if bad is None or c <= bad)
+                repeated.update(same.tolist())
+    if bad is not None or repeated:
         began = time.perf_counter()
-        wanted = {i for i, p in enumerate(pieces) if i == bad or np.isin(p[0], repeated).any()}
-        repeated = set(repeated.tolist())  # each once: np.unique would import numpy.ma
+        lines = list(itertools.accumulate((p[1] for p in pieces), initial=1))
+        starts = [(pieces[i][0], lines[i]) for i in sorted(wanted | ({bad} - {None}))]
         cause = "a rejected record" if bad is not None else f"{len(repeated)} repeated id hash(es)"
         try:
-            for _ in _checked(_lines_of(path, wanted), repeated):
+            for _ in _checked(_lines_of(path, starts), repeated):
                 pass
         finally:
             log.info("load_corpus %s: check-only pass for %s, %.3f s, %d chunk(s) read line by"
-                     " line", path, cause, time.perf_counter() - began, len(wanted))
+                     " line", path, cause, time.perf_counter() - began, len(starts))
         if bad is not None:
             raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-    totals = sum((p[1] for p in pieces), np.zeros(weeks, np.int64))
-    seconds = np.concatenate([np.zeros(0, np.int64), *(p[2] for p in pieces)])
-    return rows_read, totals, seconds, [p[3] for p in pieces if p[3] is not None]
+    totals = sum((p[2] for p in pieces), np.zeros(weeks, np.int64))
+    seconds = np.concatenate([np.zeros(0, np.int64), *(p[3] for p in pieces)])
+    return rows_read, totals, seconds, [p[4] for p in pieces if p[4] is not None]
+
+
+def _spilled(spill: str, parts: int, *share_args) -> list[tuple]:
+    """_read_share(*share_args) without the id hashes. Those of every
+    _SPILL_ROWS rows, with the chunk holding each, go to share's files in
+    spill of the partition their top bits pick, in chunk order: a stable
+    argsort of uint8 keys is one radix pass."""
+    share, shares = share_args[-2:]
+    pieces, held = [], []  # held: (hashes, chunk index) of the chunks not yet written
+    for k, (h, *piece) in enumerate(itertools.chain(_read_share(*share_args), [(None,)])):
+        if h is not None:
+            pieces.append(tuple(piece))
+            held.append((h, share + k * shares))
+        if h is None or sum(len(x) for x, _ in held) >= _SPILL_ROWS:  # at the end, every file
+            hashes = np.concatenate([np.zeros(0, np.int64), *(x for x, _ in held)])
+            chunks = np.repeat(np.array([i for _, i in held], np.int32), [len(x) for x, _ in held])
+            top = (hashes.view(np.uint64) >> np.uint64(65 - parts.bit_length())).astype(np.uint8)
+            order = np.argsort(top, kind="stable")
+            ends = np.cumsum(np.bincount(top, minlength=parts)).tolist()
+            for part, a, b in zip(range(parts), [0, *ends], ends):
+                for kind, values in enumerate((hashes, chunks)):
+                    with open(os.path.join(spill, f"{share}-{part}.{kind}"), "ab") as fh:
+                        values[order[a:b]].tofile(fh)
+            held = []
+    return pieces
 
 
 def _read_share(
@@ -684,21 +732,21 @@ def _read_share(
     phrases: frozenset[tuple[str, ...]] | None,
     share: int,
     shares: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None, np.ndarray | None, tuple | None]]:
+) -> Iterator[tuple]:
     """For each chunk k of the file with k % shares == share, in order: the
-    _id_hash of the id of every row it holds, the number of its rows in
-    each of weeks 1..weeks, and the POSIX seconds and the columns (None if
-    there are none) of its rows of those weeks that hold one of the
-    phrases, or of all of them when phrases is None: _joined of their
-    normalized texts (by "\n"), of their authors and of their ids. At a
-    chunk holding a record that ingest rejects: _read_columns' ids' hashes,
-    None for the rest, and no further chunk."""
+    _id_hash of the id of every row, the chunk's start (_chunks) and
+    newlines, its rows in each of weeks 1..weeks, and the POSIX seconds and
+    the columns (None if there are none) of its rows of those weeks that
+    hold one of the phrases, or of all of them when phrases is None:
+    _joined of their normalized texts (by "\n"), of their authors and of
+    their ids. At a chunk holding a record that ingest rejects: the same
+    but None for the last three, and no further chunk."""
     patterns = None if phrases is None else [_phrase_pattern(p) for p in phrases]
-    for chunk in itertools.islice(_chunks(path), share, None, shares):
+    for start, chunk in itertools.islice(_chunks(path), share, None, shares):
         ids, seconds, authors, texts = _read_columns(chunk)
         hashes = np.fromiter(map(_id_hash, ids), np.int64, count=len(ids))
         if seconds is None:
-            yield hashes, None, None, None
+            yield hashes, start, chunk.count("\n"), None, None, None
             return
         week = _week_of(seconds, first_week_end)
         inside = (week >= 1) & (week <= weeks)
@@ -711,7 +759,7 @@ def _read_share(
             held = _rows_found(patterns, *_joined(normalized, "\n"))
             seconds, ids, authors, normalized = _taken(held, seconds, ids, authors, normalized)
         kept = (_joined(normalized, "\n"), _joined(authors), _joined(ids)) if ids else None
-        yield hashes, counts, seconds, kept
+        yield hashes, start, chunk.count("\n"), counts, seconds, kept
 
 
 def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
@@ -720,13 +768,13 @@ def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
     return seconds[mask], *([column[r] for r in keep] for column in columns)
 
 
-def _send_share(sink: BinaryIO, *share_args) -> NoReturn:
-    """In a forked child: write _read_share(*share_args) to sink as one
-    pickle (every id's hash, but only the rows kept), then exit with code 0,
+def _send_share(sink: BinaryIO, *spilled_args) -> NoReturn:
+    """In a forked child: write _spilled(*spilled_args) to sink as one
+    pickle (only the rows kept, and no id hashes), then exit with code 0,
     or 1 on an error, never returning into the parent's frames."""
     code = 1
     try:
-        pickle.dump(list(_read_share(*share_args)), sink, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(_spilled(*spilled_args), sink, pickle.HIGHEST_PROTOCOL)
         sink.flush()
         code = 0
     except Exception:  # the parent reports the exit code; this says why

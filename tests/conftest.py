@@ -1,6 +1,9 @@
-"""Tiny factories shared across test modules."""
+"""Tiny factories and fixtures shared across test modules."""
 
+import tempfile
 from datetime import datetime, timezone
+
+import pytest
 
 from ilitrack.corpus import Message, tokenize_message
 
@@ -17,3 +20,19 @@ def msg(id="m1", ts=None, author="someone", text="hello world"):
 
 def tmsg(text, id="m1", ts=None, author="someone"):
     return tokenize_message(msg(id=id, ts=ts, author=author, text=text))
+
+
+@pytest.fixture
+def spill_root(tmp_path, monkeypatch):
+    """The directory tempfile makes its directories in for this test, and
+    the list of the TemporaryDirectory objects it makes."""
+    root, made, temporary = tmp_path / "tmp", [], tempfile.TemporaryDirectory
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+
+    def recorded(*args, **kwargs):
+        made.append(temporary(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", recorded)
+    return root, made

@@ -190,9 +190,26 @@ def test_fraction_plain(work, tmp_path, capsys):
     assert est_lines[-1].startswith("# eval_pearson_logit=")
 
 
+def test_fraction_spills_id_hashes_outside_out_and_removes_them(work, tmp_path, capsys,
+                                                                spill_root):
+    # The load writes its id hashes into a directory that tempfile makes
+    # (under TMPDIR), never under --out, and removes it.
+    root, made = spill_root
+    out = tmp_path / "frac"
+    run_ok(capsys, [
+        "fraction", "--messages", str(work["messages"]), "--ili", str(work["ili"]),
+        "--query", QUERY, "--seed", "0", "--train-weeks", "1:4", "--eval-weeks", "5:6",
+        "--out", str(out),
+    ])
+    assert [Path(d.name).parent for d in made] == [root]
+    assert list(root.iterdir()) == []
+    assert all(p.is_file() for p in out.iterdir())
+
+
 def test_importing_the_cli_imports_no_process_machinery():
-    # load_corpus imports multiprocessing only when it forks; importing it
-    # with the CLI would add about 16 ms to every command's start-up.
+    # A load forks its readers with os.fork and never imports
+    # multiprocessing; importing it with the CLI would add about 16 ms to
+    # every command's start-up.
     probe = ("import sys, ilitrack.cli; print(sorted(m for m in sys.modules "
              "if m.startswith(('multiprocessing', 'concurrent'))))")
     found = subprocess.run(

@@ -519,12 +519,13 @@ def test_load_corpus_reads_alike_in_any_number_of_processes(tmp_path, caplog):
 
 
 def test_load_corpus_names_the_exit_code_of_a_reader_that_dies(tmp_path):
+    # Every share is read by a forked reader, share 0 too.
     p = tmp_path / "msgs.jsonl"
     write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z") for i in range(20)])
     read_share = corpus_module._read_share
 
     def dies(path, first_week_end, weeks, phrases, share, shares):
-        if share:
+        if not share:
             os._exit(3)
         return read_share(path, first_week_end, weeks, phrases, share, shares)
 
@@ -535,7 +536,7 @@ def test_load_corpus_names_the_exit_code_of_a_reader_that_dies(tmp_path):
     signal.alarm(20)
     try:
         with mock.patch.object(corpus_module, "_read_share", dies), pytest.raises(
-            ChildProcessError, match=r"msgs.jsonl: the process reading share 1 .* code 3 "
+            ChildProcessError, match=r"msgs.jsonl: the process reading share 0 .* code 3 "
         ):
             load_in_chunks(37, p, FIRST_END, 1, shares=2)
     finally:
@@ -543,14 +544,17 @@ def test_load_corpus_names_the_exit_code_of_a_reader_that_dies(tmp_path):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("ending", ["clean", "error", "interrupt"])
-def test_load_corpus_reaps_every_reader(tmp_path, ending):
-    # The readers of shares 1 and 2 are still reading when this process
-    # fails at share 0, so they must be killed, not waited for.
+@pytest.mark.parametrize("ending", ["clean", "error", "dead reader", "interrupt"])
+def test_load_corpus_reaps_every_reader(tmp_path, spill_root, ending):
+    # The readers of shares 1 and 2 are still reading when share 0's dies
+    # or this process is interrupted, so they must be killed, not waited
+    # for. The directory of id hashes goes with them.
     p = tmp_path / "msgs.jsonl"
     write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z") for i in range(20)])
+    if ending == "error":
+        with open(p, "a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
     read_share, fork, pids = corpus_module._read_share, os.fork, []
-    failure = {"clean": None, "error": OSError("disk gone"), "interrupt": KeyboardInterrupt()}
 
     def recorded_fork():
         pid = fork()
@@ -558,37 +562,45 @@ def test_load_corpus_reaps_every_reader(tmp_path, ending):
         return pid
 
     def fails(path, first_week_end, weeks, phrases, share, shares):
-        if failure[ending] is None:
+        if ending in ("clean", "error"):
             return read_share(path, first_week_end, weeks, phrases, share, shares)
-        if share:
+        if share or ending == "interrupt":
             time.sleep(60)
-        raise failure[ending]
+        os._exit(1)
 
     def give_up(signum, frame):
+        if ending == "interrupt":
+            raise KeyboardInterrupt
         raise TimeoutError("load_corpus still waits for a reader")
 
+    raised = {"clean": None, "error": CorpusError, "dead reader": ChildProcessError,
+              "interrupt": KeyboardInterrupt}[ending]
     previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(20)
+    signal.setitimer(signal.ITIMER_REAL, 0.2 if ending == "interrupt" else 20)
     try:
         with mock.patch.object(os, "fork", recorded_fork), \
                 mock.patch.object(corpus_module, "_read_share", fails):
-            if failure[ending] is None:
+            if raised is None:
                 assert len(load_in_chunks(37, p, FIRST_END, 1, shares=3)) == 20
             else:
-                with pytest.raises(type(failure[ending])):
+                with pytest.raises(raised):
                     load_in_chunks(37, p, FIRST_END, 1, shares=3)
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert len(pids) == 2
+    assert len(pids) == 3
     for pid in pids:
         with pytest.raises(ChildProcessError):  # reaped: no longer a child of this process
             os.waitpid(pid, os.WNOHANG)
+    root, made = spill_root
+    assert [Path(d.name).parent for d in made] == [root]
+    assert list(root.iterdir()) == []
 
 
 def test_a_forking_load_imports_neither_multiprocessing_nor_numpy_ma(tmp_path):
     # Each reader streams its share through a pipe of its own, and repeated
-    # id hashes are found without np.unique, which imports numpy.ma.
+    # id hashes are found without np.unique, which imports numpy.ma. Two
+    # shares fork two readers: this process reads none.
     p = tmp_path / "msgs.jsonl"
     write_jsonl(p, [rec(f"m{i}", "2009-09-01T00:00:00Z", text="flu " + "x " * 150)
                     for i in range(100)])
@@ -606,7 +618,7 @@ def test_a_forking_load_imports_neither_multiprocessing_nor_numpy_ma(tmp_path):
         [sys.executable, "-c", probe, str(p)], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(corpus_module.__file__).parents[1])},
     )
-    assert found.stdout == "100 1 True []\n"
+    assert found.stdout == "100 2 True []\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -793,6 +805,92 @@ def test_load_corpus_rejects_a_duplicate_id_when_every_hash_collides(tmp_path, l
             with pytest.raises(CorpusError) as columnar:
                 load_in_chunks(size, p, FIRST_END, 2, shares)
             assert str(columnar.value) == str(reference.value), (size, shares)
+
+
+def by_number(id_):
+    """An id hash that puts ids m0, m1, m2, ... in partitions 8, 9, 10, ...,
+    15, 0, 1, ... in turn (its top four bits), and any two ids apart."""
+    n = int(id_[1:])
+    return (n % 16 - 8) << 60 | n
+
+
+# The id hashes of every 3 rows written at a time in 16 partitions.
+SMALL_SPILLS = {"_SPILL_ROWS": 3, "_PARTED_BYTES": 0}
+
+
+@pytest.mark.parametrize("id_hash", [hash, by_number, collide])
+@pytest.mark.parametrize("first, second", [(5, 12), (12, 5)])
+def test_load_corpus_finds_repeats_across_shares_partitions_and_batches(tmp_path, id_hash, first,
+                                                                       second):
+    # Forty ids, one line and so one chunk each at 37 characters, then
+    # copies of two of them: each copy is in another batch than its first
+    # line, and with two shares in another share (m5 first) or the same one
+    # (m12 first); by_number puts the two in different partitions. The
+    # first copy in the file is named.
+    p = tmp_path / "msgs.jsonl"
+    records = [rec(f"m{i}", "2009-09-01T00:00:00Z") for i in range(40)]
+    write_jsonl(p, records)
+    expected = columns(load_in_chunks(37, p, FIRST_END, 2))
+    with mock.patch.object(corpus_module, "_id_hash", id_hash), \
+            mock.patch.multiple(corpus_module, **SMALL_SPILLS):
+        for size, shares in READS:
+            assert columns(load_in_chunks(size, p, FIRST_END, 2, shares)) == expected
+        write_jsonl(p, records + [rec(f"m{first}", "2009-09-02T00:00:00Z"),
+                                  rec(f"m{second}", "2009-09-02T00:00:00Z")])
+        for size, shares in READS:
+            with pytest.raises(CorpusError, match=rf"^line 41: duplicate message id 'm{first}' "
+                                                  rf"\(first seen on line {first + 1}\)$"):
+                load_in_chunks(size, p, FIRST_END, 2, shares)
+
+
+def test_load_corpus_leaves_out_repeats_after_the_first_rejected_chunk(tmp_path, caplog):
+    # Read 37 characters at a time by two processes, share 0 reads on past
+    # the bad chunk 1 to chunk 4, where line 1's id repeats. Only chunk 1
+    # is read again (and chunk 0 when every id hashes alike), and ingest's
+    # error is raised.
+    p = tmp_path / "msgs.jsonl"
+    write_lines(p, [GOOD, json.dumps(rec("x", "2009-13-01T00:00:00Z")),
+                    *(json.dumps(rec(f"m{i}", "2009-09-01T00:00:00Z")) for i in range(2)), GOOD])
+    with pytest.raises(CorpusError) as reference:
+        ingest(p, weeks_range(2))
+    for id_hash, chunks in ((hash, 1), (collide, 2)):
+        with mock.patch.object(corpus_module, "_id_hash", id_hash), \
+                mock.patch.multiple(corpus_module, **SMALL_SPILLS):
+            for shares in (1, 2):
+                caplog.clear()
+                with caplog.at_level("INFO", logger="ilitrack.corpus"), \
+                        pytest.raises(CorpusError) as columnar:
+                    load_in_chunks(37, p, FIRST_END, 2, shares)
+                assert str(columnar.value) == str(reference.value), shares
+                assert "a rejected record, " in caplog.text
+                assert f" {chunks} chunk(s) read" in caplog.text, (id_hash, shares)
+
+
+def test_load_corpus_reads_only_the_bad_chunk_again(tmp_path):
+    # Thirty good lines and a bad last one, a chunk each at 37 characters.
+    # The bad chunk is found by seeking to its start: in one process the
+    # file's chunks are read once and that one again, and with forked
+    # readers this process reads only that one.
+    p = tmp_path / "msgs.jsonl"
+    write_lines(p, [*(json.dumps(rec(f"m{i}", "2009-09-01T00:00:00Z")) for i in range(30)),
+                    json.dumps(rec("x", "2009-13-01T00:00:00Z"))])
+    with pytest.raises(CorpusError) as reference:
+        ingest(p, weeks_range(2))
+    assert "line 31: " in str(reference.value)
+    chunks, read = corpus_module._chunks, []
+
+    def counted(*args):
+        for chunk in chunks(*args):
+            read.append(chunk)
+            yield chunk
+
+    for shares, reads in ((1, 32), (2, 1)):
+        read.clear()
+        with mock.patch.object(corpus_module, "_chunks", counted), \
+                pytest.raises(CorpusError) as columnar:
+            load_in_chunks(37, p, FIRST_END, 2, shares)
+        assert str(columnar.value) == str(reference.value)
+        assert len(read) == reads, shares
 
 
 @pytest.mark.parametrize(

@@ -92,7 +92,14 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 # 0.69-0.72x with the astral character, and 0.46-0.48x with a bad last
 # line (cached bytecode, 2-3 runs each), against 0.59x, 0.94-0.95x,
 # 0.62x, 1.04x and 0.65x before.
-BOUNDS = {"synth": 2.4, "fraction": 0.65, "simulate": 0.95}
+# Since every share of a file this size is read by a forked reader, which
+# writes its id hashes to temporary files that the command checks one
+# partition at a time, the command holds neither a share's read nor the
+# hashes: the extra is 0.15-0.16x for fraction and 0.53-0.55x for
+# simulate, 0.17-0.19x and 0.57-0.58x with the astral character, and
+# 0.15-0.21x with a bad last line (cached bytecode, 2 runs each), against
+# 0.44-0.46x, 0.63-0.68x, 0.50x, 0.69-0.73x and 0.44-0.45x before.
+BOUNDS = {"synth": 2.4, "fraction": 0.3, "simulate": 0.7}
 
 
 def peak_mib(*args: str, code: int = 0, stderr: str = "") -> float:

@@ -1,6 +1,7 @@
 """Spurious-message pools, injection, and robustness scoring."""
 
 import json
+import random
 import tempfile
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
@@ -602,12 +603,16 @@ def test_reference_mse_values():
 # they return. At 20,000 matching rows week_scores peaked 13.6 MB above its
 # result while it held every row's tokens, and 1.8 MB while it held two
 # offset lists over all rows; 0.7 MB while its result held a float per
-# match, and now 0.87 MB above a result of two small records: its whole
-# peak fell from 1.35 MB, and what is left is the matching rows' order.
+# match, and 0.87 MB above a result of two small records: its whole
+# peak fell from 1.35 MB, and what was left was the matching rows' order,
+# sorted by time. Now that it scores each week's rows in file order, it
+# holds 0.69 MB, most of it the offsets of 4096 rows as Python ints, and
+# 17 kB for 40 weeks of 126 rows, where it held 0.44 MB before.
 # With the default schedule run_simulation peaked 4.9 MB above its report
 # while it held a Python int per draw, 1.1 MB while it held a probability
 # per matching draw, and now 0.2-0.33 MB, with draws made 2^13 at a time.
-EXTRA_BYTES = {"week_scores": 9 * 2**17, "run_simulation": 2**19}
+EXTRA_BYTES = {"week_scores": 9 * 2**17, "week_scores of 126 rows a week": 2**15,
+               "run_simulation": 2**19}
 
 
 def traced_extra(call):
@@ -623,23 +628,49 @@ def traced_extra(call):
     return result, peak - held
 
 
-def test_week_scores_holds_no_token_list_per_row(tmp_path):
-    # 20,000 matching rows of 9 tokens each, a minute apart. Each row is
-    # tokenized, scored and dropped in turn.
-    p = tmp_path / "msgs.jsonl"
+REPORT_MODEL = ClassifierModel(vocabulary={"flu": 1, "ward": 2}, theta=(0.5, 0.25, -1.0),
+                               l2_lambda=1.0, trained_on="t", converged=True)
+
+
+def report_scores(path, rows, seconds_apart, weeks, order=None):
+    """week_scores(REPORT_MODEL) of "flu" over rows of 9 tokens each, row i
+    posted i * seconds_apart after 2009-08-30 and written to path in order
+    (file order when None), and what it held at its peak beyond them."""
     start = datetime(2009, 8, 30, tzinfo=timezone.utc)
-    with open(p, "w", encoding="utf-8") as fh:
-        for i in range(20_000):
-            stamp = (start + timedelta(minutes=i)).strftime("%Y-%m-%dT%H:%M:%SZ")
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(rows) if order is None else order:
+            stamp = (start + timedelta(seconds=i * seconds_apart)).strftime("%Y-%m-%dT%H:%M:%SZ")
             text = f"flu report {i} from ward {i % 97} late today again"
             fh.write(json.dumps({"id": f"m{i}", "timestamp": stamp, "text": text}) + "\n")
-    corpus = load_corpus(p, date(2009, 9, 5), 2)
+    corpus = load_corpus(path, date(2009, 9, 5), weeks)
     matched = match_rows(parse_query("flu"), corpus)
-    model = ClassifierModel(vocabulary={"flu": 1, "ward": 2}, theta=(0.5, 0.25, -1.0),
-                            l2_lambda=1.0, trained_on="t", converged=True)
-    scores, extra = traced_extra(lambda: week_scores(matched, corpus, model))
+    return traced_extra(lambda: week_scores(matched, corpus, REPORT_MODEL))
+
+
+def test_week_scores_holds_no_token_list_per_row(tmp_path):
+    # 20,000 matching rows a minute apart. Each row is tokenized, scored
+    # and dropped in turn.
+    scores, extra = report_scores(tmp_path / "msgs.jsonl", 20_000, 60, 2)
     assert [s.matches for s in scores] == [10_080, 9_920]
     assert extra < EXTRA_BYTES["week_scores"]
+
+
+def test_week_scores_holds_the_rows_of_one_week_at_a_time(tmp_path):
+    # 5,040 matching rows in 40 weeks of 126: what is held follows the
+    # largest week, not every match.
+    scores, extra = report_scores(tmp_path / "msgs.jsonl", 5040, 4800, 40)
+    assert {s.matches for s in scores} == {126}
+    assert extra < EXTRA_BYTES["week_scores of 126 rows a week"]
+
+
+def test_week_scores_do_not_depend_on_the_order_of_rows(tmp_path):
+    # Each week's rows are scored in file order, and its soft sum is exact.
+    order = list(range(900))
+    random.Random(0).shuffle(order)
+    in_order, _ = report_scores(tmp_path / "in-order.jsonl", 900, 2016, 3)
+    shuffled, _ = report_scores(tmp_path / "shuffled.jsonl", 900, 2016, 3, order)
+    assert shuffled == in_order
+    assert [s.matches for s in in_order] == [300, 300, 300]
 
 
 def test_run_simulation_holds_nothing_per_draw():
