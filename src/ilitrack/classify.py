@@ -2,8 +2,9 @@
 from spurious keyword matches, and the weekly fractions of the paper's three
 methods: the plain keyword fraction, the classifier-weighted soft fraction
 and the thresholded hard fraction. Each follows from one WeekScores record
-per week, whether week_scores reads it off a corpus's columns or an oracle
-(query_fraction_series, bucket_fractions) matches messages one by one.
+per week, whether week_scores reads it off the columns of each chunk of a
+corpus (added up by summed_scores) or an oracle (query_fraction_series,
+bucket_fractions) matches messages one by one.
 
 Features are token counts over a vocabulary built from training data, with a
 bias feature at index 0. The objective is the negative log-likelihood plus an
@@ -465,36 +466,44 @@ class WeekScores:
 def week_scores(
     matched: np.ndarray, corpus: Corpus, model: ClassifierModel | None
 ) -> list[WeekScores]:
-    """WeekScores of weeks 1..corpus.weeks for a query whose match_rows are
-    matched. Each week's matching rows, one week's at a time, are tokenized,
-    scored and added to its record in file order (its sum is exact, so no
-    order changes a bit). With no model every match keeps probability 1.0,
-    which is the keywords method, and no row's tokens are read."""
-    totals = corpus.week_totals
-    empty = [w for w, total in enumerate(totals, start=1) if total == 0]
-    if empty:
-        raise ClassifierError(
-            "cannot compute fractions over empty week bucket(s): " + ", ".join(map(str, empty))
-        )
+    """WeekScores of each week that holds a message of corpus, a file or one
+    chunk of it, for a query whose match_rows are matched: summed_scores
+    adds up the records of a file's chunks. Each week's matching rows, one
+    week's at a time, are tokenized, scored and added to its record in file
+    order (its sum is exact, so no order changes a bit). With no model every
+    match keeps probability 1.0, which is the keywords method, and no row's
+    tokens are read."""
+    weeks = [(w, total) for w, total in enumerate(corpus.week_totals, start=1) if total]
     if model is None:
-        counts = np.bincount(corpus.week[matched], minlength=corpus.weeks + 1)[1:].tolist()
-        return [WeekScores.of(w, total, [1.0], [c])
-                for w, (total, c) in enumerate(zip(totals, counts), start=1)]
-    rows = (np.flatnonzero(matched & (corpus.week == w)) for w in range(1, corpus.weeks + 1))
-    return [WeekScores.of(w, total, (score_tokens(model, tokens)
-                                     for tokens in corpus.tokens(r, in_time_order=False)))
-            for w, (total, r) in enumerate(zip(totals, rows), start=1)]
+        counts = np.bincount(corpus.week[matched], minlength=len(corpus.week_totals) + 1).tolist()
+        return [WeekScores.of(w, total, [1.0], [counts[w]]) for w, total in weeks]
+    rows = (np.flatnonzero(matched & (corpus.week == w)) for w, _ in weeks)
+    return [WeekScores.of(w, total, (score_tokens(model, t) for t in corpus.tokens(r)))
+            for (w, total), r in zip(weeks, rows)]
+
+
+def summed_scores(weeks: int, records: Iterable[WeekScores]) -> list[WeekScores]:
+    """The sum of the records (week_scores, of every chunk of a file say) of
+    each of weeks 1..weeks. A week that no record holds has no message, and
+    ClassifierError names every such week."""
+    summed: dict[int, WeekScores] = {}
+    for s in records:
+        summed[s.week_index] = summed[s.week_index] + s if s.week_index in summed else s
+    _refuse_empty([w for w in range(1, weeks + 1) if w not in summed], ClassifierError)
+    return [summed[w] for w in range(1, weeks + 1)]
+
+
+def _refuse_empty(weeks: Sequence[int], error: type[ValueError]) -> None:
+    if weeks:
+        listed = ", ".join(map(str, weeks))
+        raise error(f"cannot compute fractions over empty week bucket(s): {listed}")
 
 
 def query_fraction_series(query: Query, buckets: Sequence[WeekBucket]) -> list[WeekScores]:
     """The keywords method's WeekScores of consecutive buckets, matching
     their messages one by one: the reference that week_scores with no model
     agrees with."""
-    empty = [b.week_index for b in buckets if not b.messages]
-    if empty:
-        raise QueryError(
-            "cannot compute fractions over empty week bucket(s): " + ", ".join(map(str, empty))
-        )
+    _refuse_empty([b.week_index for b in buckets if not b.messages], QueryError)
     return [
         WeekScores.of(b.week_index, len(b.messages), [1.0], [count_matches(query, b)])
         for b in buckets

@@ -14,7 +14,8 @@ Every data-producing subcommand takes --seed and --out. It records its
 flags in <out>/run.json in the order the subcommand declares them: each
 flag but --out that holds a value, except an empty optional one, with
 floats written by repr. fraction and simulate take their plain, soft and
-hard weekly series from the library (classify.week_scores, then
+hard weekly series from the library (classify.week_scores of each chunk,
+read by corpus.scan_corpus, then classify.summed_scores and
 classify.method_series). Errors exit 1 with a single "error: ..." line
 on stderr.
 """
@@ -34,7 +35,8 @@ from typing import Iterable, NoReturn, Sequence
 
 from . import classify as clf
 from . import synth as syn
-from .corpus import CorpusError, json_list, json_str, json_value, load_corpus, load_ili_csv, read_text
+from .corpus import Corpus, CorpusError, json_list, json_str, json_value, load_ili_csv
+from .corpus import read_text, scan_corpus
 
 # The per-message reference path that the columnar CLI path reproduces.
 # perfbench/spans.py wraps these names on this module.
@@ -64,10 +66,11 @@ from .simulate import (
     DEFAULT_SCHEDULE_COUNTS,
     InjectionSchedule,
     SimulationError,
-    corpus_spurious_pool,
     mse_vs_baseline,
+    pool_rows,
     report_csv,
     run_simulation,
+    spurious_pool,
     summary_json,
 )
 
@@ -192,15 +195,34 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # --- shared corpus loading ---------------------------------------------------
 
 
-def _load_weekly(messages_path: str, ili_path: str, queries: Sequence[Query]):
-    """Load the ILI series and the weekly totals of the messages of its
-    weeks, keeping only the messages holding some bare term of queries."""
-    ili_rows = load_ili_csv(ili_path)
+def _load_weekly(args: argparse.Namespace, query: Query, model: clf.ClassifierModel | None,
+                 pool: bool):
+    """Load the ILI series, then read the messages of its weeks in one pass
+    (scan_corpus) that keeps only the rows holding a bare term of query, or
+    of the gate query with pool. Where it is read, each chunk is matched and
+    scored (week_scores) and, with pool, its spurious messages are picked
+    (pool_rows): only these records and rows come back."""
+    ili_rows = load_ili_csv(args.ili)
     first_end = ili_rows[0][0]
     last_end = ili_rows[-1][0]
-    phrases = {term.tokens for query in queries for term in query.base_terms}
-    corpus = load_corpus(messages_path, first_end, weeks=len(ili_rows), phrases=phrases)
-    if not sum(corpus.week_totals):
+    phrases = {t.tokens for q in ([query, GATE_QUERY] if pool else [query]) for t in q.base_terms}
+
+    def fold(chunk: Corpus) -> tuple[list[clf.WeekScores], list]:
+        matched = match_rows(query, chunk)
+        gate = matched if query == GATE_QUERY or not pool else match_rows(GATE_QUERY, chunk)
+        return clf.week_scores(matched, chunk, model), pool_rows(chunk, gate) if pool else []
+
+    began = time.perf_counter()
+    read, readers, totals, folds = scan_corpus(args.messages, first_end, len(ili_rows), phrases,
+                                               fold)
+    records = [s for scores, _ in folds for s in scores]
+    rows = [row for _, pooled in folds for row in pooled]
+    log.info("%s: %d rows read by %d process(es), %d in weeks 1..%d, %d matching %s, %s, %.3f s",
+             args.messages, read, readers, sum(totals), len(totals),
+             sum(s.matches for s in records), query.render(),
+             f"{len(rows)} in the spurious pool" if pool else "no spurious pool",
+             time.perf_counter() - began)
+    if not sum(totals):
         raise CliError(
             f"no messages between {first_end - timedelta(days=6)} and {last_end}; "
             "the corpus does not overlap the ILI series"
@@ -209,7 +231,7 @@ def _load_weekly(messages_path: str, ili_path: str, queries: Sequence[Query]):
         week_indices=tuple(range(1, len(ili_rows) + 1)),
         values=tuple(pct / 100.0 for _, pct in ili_rows),
     )
-    return ili_rows, ili, corpus
+    return ili_rows, ili, records, rows
 
 
 def _train_range(args: argparse.Namespace, n_weeks: int) -> list[int]:
@@ -250,16 +272,15 @@ def cmd_fraction(args: argparse.Namespace) -> int:
         raise CliError(f"--mode {args.mode} requires --classifier")
     classifier = clf.ClassifierModel.load(args.classifier) if args.classifier else None
     query = parse_query(args.query)
-    ili_rows, ili, corpus = _load_weekly(args.messages, args.ili, [query])
+    scorer = None if args.mode == "plain" else classifier
+    ili_rows, ili, records, _ = _load_weekly(args, query, scorer, pool=False)
     train_weeks = _train_range(args, len(ili_rows))
     eval_weeks = _eval_range(args, len(ili_rows))
-    scores = clf.week_scores(
-        match_rows(query, corpus), corpus, None if args.mode == "plain" else classifier
-    )
+    scores = clf.summed_scores(len(ili_rows), records)
     method = clf.METHODS[_MODES.index(args.mode)]
     fractions = clf.method_series(scores)[method]
     out = _out_dir(args)
-    _write(out / "fractions.csv", clf.fractions_csv(scores, corpus.end_dates(), method))
+    _write(out / "fractions.csv", clf.fractions_csv(scores, [end for end, _ in ili_rows], method))
     _write_run(out, "fraction", args)
 
     try:
@@ -360,17 +381,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.classifier) == bool(args.train):
         raise CliError("pass exactly one of --classifier or --train")
     query = parse_query(args.query)
-    ili_rows, ili, corpus = _load_weekly(args.messages, args.ili, [query, GATE_QUERY])
-    train_weeks = _train_range(args, len(ili_rows))
-
     if args.classifier:
         classifier = clf.ClassifierModel.load(args.classifier)
-    else:
-        labeled = clf.load_labeled_jsonl(args.train)
-        classifier = clf.train(labeled, l2_lambda=args.l2_lambda, seed=args.seed)
+    else:  # the labeled messages are freed before the read, which reuses their memory
+        classifier = clf.train(clf.load_labeled_jsonl(args.train), l2_lambda=args.l2_lambda,
+                               seed=args.seed)
+    ili_rows, ili, records, rows = _load_weekly(args, query, classifier, pool=True)
+    train_weeks = _train_range(args, len(ili_rows))
 
-    matched = match_rows(query, corpus)
-    scores = clf.week_scores(matched, corpus, classifier)
+    scores = clf.summed_scores(len(ili_rows), records)
     series = clf.method_series(scores)
     models = {name: fit(series[name], ili, train_weeks) for name in clf.METHODS}
 
@@ -378,8 +397,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         schedule = _load_schedule(args.schedule)
     else:
         schedule = InjectionSchedule.default_for([s.week_index for s in scores])
-    gate = matched if query == GATE_QUERY else match_rows(GATE_QUERY, corpus)
-    pool = corpus_spurious_pool(corpus, gate)
+    pool = spurious_pool(rows)
     report = run_simulation(
         scores, pool, schedule, models, classifier, seed=args.seed, query=query
     )

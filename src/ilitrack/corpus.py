@@ -7,6 +7,7 @@ cadence of public ILI surveillance data.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import json
@@ -15,15 +16,13 @@ import math
 import os
 import pickle
 import re
-import sys
 import tempfile
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Generator, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -383,20 +382,6 @@ def _warn_empty(totals: Sequence[int]) -> None:
 # --- columnar corpus -----------------------------------------------------------
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector. Building hundreds of thousands of
-    tuples, lists or messages otherwise sets off full collections that walk
-    every one of them again and again; none of them is part of a cycle."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _phrase_pattern(tokens: Sequence[str]) -> re.Pattern:
     """The regular expression that finds a phrase in a normalized text: its
     tokens, a token character on neither side, and runs of other
@@ -426,18 +411,11 @@ def _joined(pieces: list[str], sep: str = "") -> tuple[str, np.ndarray]:
     return sep.join(pieces), offsets
 
 
-def _concatenated(runs: list[tuple[str, np.ndarray]], sep: str = "") -> tuple[str, np.ndarray]:
-    """_joined(pieces, sep) of every run's pieces, from _joined of each run:
-    their strs joined by sep, and their offsets shifted past the runs before."""
-    shifts = np.cumsum([0, *(offsets[-1] for _, offsets in runs)])
-    offsets = [np.zeros(1, np.int64), *(o[1:] + shift for (_, o), shift in zip(runs, shifts))]
-    return sep.join(text for text, _ in runs), np.concatenate(offsets)
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """The messages of weeks 1..weeks as columns: what
-    bucket_weekly(ingest(...)) holds, without one object per message.
+    """The messages of weeks 1..len(week_totals) in a file, or in one chunk
+    of it, as columns: what bucket_weekly(ingest(...)) holds of them,
+    without one object per message.
 
     week_totals[w - 1] is the number of messages in week w, kept as a row
     or not. When phrases is None the rows are all of those messages;
@@ -451,15 +429,13 @@ class Corpus:
     row holds one of its own); its author is authors[author_starts[r] :
     author_starts[r + 1]], its id likewise. A str per row would add a
     49-byte header to each. A character that a str stores in 2 or 4 bytes
-    widens its whole column, the rows of every chunk of the file alike.
+    widens its whole column.
 
-    These columns are all that load_corpus keeps of the file. It keeps no
-    text: matching, scoring (tokens) and simulate's spurious pool (tokens,
-    author) read the normalized text.
+    These columns are all that is kept of the text: matching, scoring
+    (tokens) and simulate's spurious pool (tokens, author) read the
+    normalized text.
     """
 
-    first_week_end: date
-    weeks: int
     seconds: np.ndarray
     week: np.ndarray
     normalized: str
@@ -474,33 +450,23 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.seconds)
 
-    def end_dates(self) -> list[date]:
-        return [self.first_week_end + timedelta(days=7 * i) for i in range(self.weeks)]
-
     def id(self, r: int) -> str:
         return self.ids[self.id_starts[r] : self.id_starts[r + 1]]
 
     def author(self, r: int) -> str:
         return self.authors[self.author_starts[r] : self.author_starts[r + 1]]
 
-    def rows_with(self, tokens: Sequence[str]) -> np.ndarray:
-        """One bool per row: whether tokens appear contiguously and in order
-        in the row's tokens, the maximal runs of token characters in its
-        normalized text."""
-        return _rows_found([_phrase_pattern(tokens)], self.normalized, self.starts)
+    def rows_with(self, *phrases: Sequence[str]) -> np.ndarray:
+        """One bool per row: whether one of phrases (token sequences) appears
+        contiguously and in order in the row's tokens, the maximal runs of
+        token characters in its normalized text."""
+        return _rows_found(map(_phrase_pattern, phrases), self.normalized, self.starts)
 
-    def tokens(self, rows: Sequence[int], in_time_order: bool = True) -> Iterator[list[str]]:
-        """tokenize(text) of each row's text, one row at a time, in (timestamp,
-        id) order as bucket_weekly orders messages (in the order of rows if
-        not in_time_order): the maximal runs of token characters in its
-        normalized text. Only the order and offsets are held."""
+    def tokens(self, rows: Sequence[int]) -> Iterator[list[str]]:
+        """tokenize(text) of each row's text, in the order of rows, one row
+        at a time: the maximal runs of token characters in its normalized
+        text. Only the offsets of 4096 rows at a time are held."""
         order = np.asarray(rows, dtype=np.int64)
-        if in_time_order:
-            order = order[np.argsort(self.seconds[order], kind="stable")]
-            # Rows of one second go by id, in Python: a numpy "U" array drops trailing NULs.
-            same = np.diff(self.seconds[order]) == 0
-            tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-            order[tied] = sorted(order[tied].tolist(), key=lambda r: (self.seconds[r], self.id(r)))
         for block in np.split(order, np.arange(1 << 12, len(order), 1 << 12)):
             spans = zip(self.starts[block].tolist(), self.starts[block + 1].tolist())
             yield from (_TOKEN_RE.findall(self.normalized, a, b) for a, b in spans)
@@ -512,58 +478,33 @@ def load_corpus(
     weeks: int,
     phrases: Iterable[Sequence[str]] | None = None,
 ) -> Corpus:
-    """Read a JSONL corpus into a Corpus of weeks 1..weeks.
-
-    With phrases None, equivalent to bucket_weekly(ingest(path,
-    date_range), first_week_end, weeks) with date_range spanning exactly
-    those weeks: it keeps the same messages, and it rejects the same files
-    with the same CorpusError; its normalized column then joins the text of
-    every message, so one wide character in any widens all of it. With
-    phrases, a sequence of token sequences, it keeps only the messages
-    whose tokens hold one of them contiguously (Corpus.rows_with), and the
-    same weekly totals. Every message a query matches holds one of its
-    bare terms, so a corpus read for those terms gives that query the same
-    match_rows, week_scores and spurious pool on the rows it keeps, while
-    its memory grows with those rows only.
-
-    The file is read _CHUNK_CHARS characters at a time, each chunk ending
-    at the end of a line, and the chunks are dealt out in turn to up to
-    _SHARES processes forked to read them (_read_rows); this process reads
-    a file that fits in one chunk. In each chunk, lines in the layout
-    messages_jsonl writes are read by one regular expression and checked
-    column by column, other lines are decoded one by one, the rows of each
-    week are counted, rows outside the weeks are dropped and each text is
-    normalized once; the text is not kept. The rows holding a phrase are
-    joined into the chunk's columns, concatenated once every chunk is read.
-    Ids must be unique across every row read, dropped rows too: each reader
-    writes the hash of each, with its chunk, to a temporary directory (12
-    bytes a row, removed on every path), checked one partition at a time.
-    A bad record, or two equal hashes, start a check-only pass over a few
-    chunks, which raises ingest's error naming the first bad line; when
-    only hashes collide the load goes on. No text is tokenized here: a
-    query finds its rows in the normalized text (Corpus.rows_with), and
-    scoring tokenizes only the rows it scores (Corpus.tokens).
+    """Read a JSONL corpus into one Corpus of weeks 1..weeks: the columns of
+    every chunk (scan_corpus), joined. With phrases None, it keeps what
+    bucket_weekly(ingest(path, date_range), first_week_end, weeks) keeps,
+    with date_range spanning exactly those weeks, and one wide character in
+    any text widens the whole normalized column. With phrases it keeps only
+    the messages whose tokens hold one of them, and the same weekly totals:
+    every message a query matches holds one of its bare terms, so a corpus
+    read for those terms gives that query the same match_rows, week_scores
+    and spurious pool. The commands do not call it: they fold each chunk
+    where it is read (scan_corpus), holding no column of the whole file.
     """
-    began = time.perf_counter()
-    _check_week_grid(first_week_end, weeks)
-    if phrases is not None:
-        phrases = frozenset(map(tuple, phrases))
-    shares = max(1, min(_SHARES, math.ceil(os.path.getsize(path) / _CHUNK_CHARS)))
-    rows_read, totals, seconds, runs = _read_rows(path, first_week_end, weeks, phrases, shares)
-    normalized, authors, ids = (_concatenated([run[i] for run in runs], sep)
-                                for i, sep in enumerate(("\n", "", "")))
-    corpus = Corpus(first_week_end, weeks, seconds, _week_of(seconds, first_week_end),
-                    *normalized, *authors, *ids, tuple(totals.tolist()), phrases)
-    log.info(
-        "load_corpus %s: %d rows read by %d process(es), %d in weeks 1..%d, %d kept for %s, "
-        "holding %d normalized, %d author and %d id bytes, %.3f s",
-        path, rows_read, shares, sum(corpus.week_totals), weeks, len(corpus),
-        "every row" if phrases is None else f"{len(phrases)} phrase(s)",
-        *map(sys.getsizeof, (corpus.normalized, corpus.authors, corpus.ids)),
-        time.perf_counter() - began,
-    )
-    _warn_empty(corpus.week_totals)
-    return corpus
+    _, _, totals, chunks = scan_corpus(path, first_week_end, weeks, phrases, lambda c: c)
+    chunks = [chunk for chunk in chunks if len(chunk)]
+
+    def joined(text: str, starts: str, sep: str = "") -> tuple[str, np.ndarray]:
+        """Every chunk's column text joined by sep, and its offsets shifted
+        past the chunks before: _joined of all their rows."""
+        shifts = np.cumsum([0, *(getattr(c, starts)[-1] for c in chunks)])
+        offsets = (getattr(c, starts)[1:] + shift for c, shift in zip(chunks, shifts))
+        return (sep.join(getattr(c, text) for c in chunks),
+                np.concatenate([np.zeros(1, np.int64), *offsets]))
+
+    seconds = np.concatenate([np.zeros(0, np.int64), *(chunk.seconds for chunk in chunks)])
+    return Corpus(seconds, _week_of(seconds, first_week_end),
+                  *joined("normalized", "starts", "\n"), *joined("authors", "author_starts"),
+                  *joined("ids", "id_starts"), totals,
+                  None if phrases is None else frozenset(map(tuple, phrases)))
 
 
 def _week_of(seconds: np.ndarray, first_week_end: date) -> np.ndarray:
@@ -572,12 +513,12 @@ def _week_of(seconds: np.ndarray, first_week_end: date) -> np.ndarray:
     return (days + 6) // 7 + 1
 
 
-# load_corpus reads this many characters at a time, plus the rest of the
+# scan_corpus reads this many characters at a time, plus the rest of the
 # line the cut falls in.
 _CHUNK_CHARS = 1 << 18
-# load_corpus checks that ids are unique by their values under this.
+# scan_corpus checks that ids are unique by their values under this.
 _id_hash = hash
-# load_corpus deals a file's chunks out to at most this many processes:
+# scan_corpus deals a file's chunks out to at most this many processes:
 # the CPUs it may run on. Where the system does not say (macOS, Windows),
 # one process reads.
 _SHARES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -607,81 +548,77 @@ def _lines_of(path: str | Path, starts: Iterable[tuple[int, int]]) -> Iterator[t
         yield from _decoded(path, enumerate(lines, line_no), CorpusError)
 
 
-@_collector_paused()
-def _read_rows(
+def scan_corpus(
     path: str | Path,
     first_week_end: date,
     weeks: int,
-    phrases: frozenset[tuple[str, ...]] | None,
-    shares: int,
-) -> tuple[int, np.ndarray, np.ndarray, list[tuple]]:
-    """The number of rows read, the number of rows in each of weeks
-    1..weeks, and the POSIX seconds and, chunk by chunk, the columns
-    (_read_share) of the rows of those weeks that hold one of the phrases
-    (all of them when phrases is None). The first chunk holding a record
-    that ingest rejects, and the chunks up to it holding an _id_hash two
-    ids have, are read again line by line (_checked), which raises
-    ingest's error naming the first bad line.
+    phrases: Iterable[Sequence[str]] | None,
+    fold: Callable[[Corpus], object],
+) -> tuple[int, int, tuple[int, ...], list]:
+    """Read a JSONL corpus a chunk at a time: the number of rows read, the
+    number of processes that read them, the number of messages in each of
+    weeks 1..weeks, and fold(chunk) of the Corpus (_read_share) of each
+    chunk's messages of those weeks, in file order: those holding one of
+    phrases (token sequences), or all when phrases is None. It rejects what
+    ingest rejects, with the same CorpusError.
 
-    One share is read here; more are read by as many forked children, each
-    writing its share into a pipe as one pickle (_send_share), loaded here
-    as it streams in. Only a forked child, never a spawned one, keeps this
-    process's hash secret, so that the id hashes of all shares compare. A
-    child that exits before sending its share ends its pipe, and
-    ChildProcessError names its exit code. Each child is killed, if it
-    runs, and reaped before this ends, and then the temporary directory
-    that every reader wrote its id hashes to (_spilled) is removed."""
+    The file is read _CHUNK_CHARS characters at a time, each chunk ending
+    at the end of a line. A file of one chunk is read here; otherwise the
+    chunks are dealt out in turn to up to _SHARES children forked to read
+    them (_reader), which run fold without pickling it and send what it
+    returns (_send_share). Only a forked child keeps this process's hash
+    secret, so that the id hashes of all shares compare. A child that fails
+    sends one line saying why, and one that exits first ends its pipe:
+    either raises ChildProcessError. Every child is killed, if it runs, and
+    reaped before this ends; then the temporary directory is removed where
+    each reader wrote the hash of every id it read, with its chunk (12
+    bytes a row). Once every share is written, each reader checks its own
+    partitions of them. The first rejected chunk, and the chunks up to it
+    holding a hash two ids have, are then read again here line by line
+    (_checked), which raises ingest's error naming the first bad line; when
+    only hashes collide the read goes on.
+    """
     import signal  # imported here: it adds about 1 ms to start-up
 
+    _check_week_grid(first_week_end, weeks)
+    phrases = None if phrases is None else frozenset(map(tuple, phrases))
+    shares = max(1, min(_SHARES, math.ceil(os.path.getsize(path) / _CHUNK_CHARS)))
     share_args = (path, first_week_end, weeks, phrases)
     parts = _PARTS if os.path.getsize(path) >= _PARTED_BYTES else 1
-    children: list[tuple[int, BinaryIO]] = []  # (pid, the read end of its pipe)
+    children: list[tuple[int, BinaryIO, int]] = []  # (pid, its pipe's read end, its go pipe)
     with tempfile.TemporaryDirectory() as spill:
         try:
             for share in range(shares if shares > 1 else 0):
                 source, sink = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+                wait, go = os.pipe()
                 with sink:  # only the child holds it open once this closes it
                     if not (pid := os.fork()):
-                        _send_share(sink, spill, parts, *share_args, share, shares)
-                children.append((pid, source))
-            read = [] if children else [_spilled(spill, parts, *share_args, 0, 1)]
-            for share, (pid, source) in enumerate(children):
-                try:
-                    read.append(pickle.load(source))
-                except (EOFError, pickle.UnpicklingError):
-                    ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # reaped below
-                    code = ended.si_status if ended.si_code == os.CLD_EXITED else -ended.si_status
-                    raise ChildProcessError(
-                        f"{path}: the process reading share {share} of the file exited with "
-                        f"code {code} before sending it"
-                    ) from None
+                        source.close()
+                        os.close(go)
+                        _send_share(sink, wait, _reader(spill, parts, fold, *share_args, share,
+                                                        shares))
+                os.close(wait)
+                children.append((pid, source, go))
+            reader = None if children else _reader(spill, parts, fold, *share_args, 0, 1)
+            received = [_received(path, *child) for child in enumerate(children)]
+            # Chunk i of the file is piece i // shares of share i % shares. A share
+            # ends at the first chunk it rejects, so no chunk before bad is missing.
+            pieces = [p for row in itertools.zip_longest(*received or [next(reader)])
+                      for p in row if p is not None]
+            bad = next((i for i, p in enumerate(pieces) if p[2] is None), None)
+            for _, _, go in children:  # every share is spilled: each child checks its parts
+                with contextlib.suppress(BrokenPipeError):  # one that died is named below
+                    os.write(go, pickle.dumps(bad))
+            checks = [_received(path, *child) for child in enumerate(children)] or [
+                reader.send(bad)]
         finally:
-            for pid, source in children:
-                os.kill(pid, signal.SIGKILL)  # moot for a child that has sent its share
+            for pid, source, go in children:
+                os.kill(pid, signal.SIGKILL)  # moot for a child that has exited
                 os.waitpid(pid, 0)
                 source.close()
-        # Chunk i of the file is piece i // shares of share i % shares. A share
-        # ends at the first chunk it rejects, so no chunk before bad is missing.
-        pieces = [p for row in itertools.zip_longest(*read) for p in row if p is not None]
-        bad = next((i for i, p in enumerate(pieces) if p[2] is None), None)
-        pieces = pieces[: None if bad is None else bad + 1]
-
-        def column(part: int, kind: int) -> np.ndarray:  # kind 0: id hashes, 1: their chunks
-            return np.concatenate([np.fromfile(os.path.join(spill, f"{s}-{part}.{kind}"),
-                                               (np.int64, np.int32)[kind]) for s in range(shares)])
-
-        # One partition's hashes at a time, their chunks read only to cut at
-        # bad or to find the chunks holding a repeat.
-        rows_read, repeated, wanted = 0, set(), set()
-        for part in range(parts):
-            hashes = column(part, 0) if bad is None else column(part, 0)[column(part, 1) <= bad]
-            rows_read += len(hashes)
-            hashes.sort()  # in place: a sorted copy would hold the partition twice
-            same = hashes[1:][hashes[1:] == hashes[:-1]]  # each once: np.unique imports numpy.ma
-            if len(same):
-                chunks = column(part, 1)[np.isin(column(part, 0), same)]
-                wanted.update(c for c in chunks.tolist() if bad is None or c <= bad)
-                repeated.update(same.tolist())
+                os.close(go)
+    pieces = pieces[: None if bad is None else bad + 1]
+    repeated, wanted = (set().union(*(check[i] for check in checks)) for i in (1, 2))
     if bad is not None or repeated:
         began = time.perf_counter()
         lines = list(itertools.accumulate((p[1] for p in pieces), initial=1))
@@ -691,25 +628,48 @@ def _read_rows(
             for _ in _checked(_lines_of(path, starts), repeated):
                 pass
         finally:
-            log.info("load_corpus %s: check-only pass for %s, %.3f s, %d chunk(s) read line by"
+            log.info("scan_corpus %s: check-only pass for %s, %.3f s, %d chunk(s) read line by"
                      " line", path, cause, time.perf_counter() - began, len(starts))
         if bad is not None:
             raise RuntimeError(f"{path}: ingest accepts a record that load_corpus rejects")
-    totals = sum((p[2] for p in pieces), np.zeros(weeks, np.int64))
-    seconds = np.concatenate([np.zeros(0, np.int64), *(p[3] for p in pieces)])
-    return rows_read, totals, seconds, [p[4] for p in pieces if p[4] is not None]
+    totals = tuple(np.array([(0,) * weeks, *(p[2] for p in pieces)]).sum(axis=0).tolist())
+    _warn_empty(totals)
+    return sum(check[0] for check in checks), shares, totals, [p[3] for p in pieces]
 
 
-def _spilled(spill: str, parts: int, *share_args) -> list[tuple]:
-    """_read_share(*share_args) without the id hashes. Those of every
-    _SPILL_ROWS rows, with the chunk holding each, go to share's files in
+def _received(path: str | Path, share: int, child: tuple[int, BinaryIO, int]) -> object:
+    """The next pickle from the child reading share, or ChildProcessError
+    with the line saying why it failed, or naming its exit code if it ended
+    its pipe first."""
+    pid, source, _ = child
+    try:
+        got = pickle.load(source)
+    except (EOFError, pickle.UnpicklingError):
+        ended = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # reaped by scan_corpus
+        code = ended.si_status if ended.si_code == os.CLD_EXITED else -ended.si_status
+        got = f"exited with code {code} before sending it"
+    if isinstance(got, str):  # what went wrong, in one line
+        raise ChildProcessError(f"{path}: the process reading share {share} of the file {got}")
+    return got
+
+
+def _reader(spill: str, parts: int, fold: Callable[[Corpus], object], *share_args) -> Generator:
+    """Read a share (_read_share(*share_args)). First yield, for each of its
+    chunks, the chunk's start and newlines, and its week totals and the fold
+    of its Corpus, or None for both at a chunk it rejects. The id hashes of
+    every _SPILL_ROWS rows, with their chunks, go to the share's files in
     spill of the partition their top bits pick, in chunk order: a stable
-    argsort of uint8 keys is one radix pass."""
+    argsort of uint8 keys is one radix pass. Then, sent the first rejected
+    chunk (None if none) once every share is spilled, yield the number of
+    rows up to it in the partitions part % shares == share of every share,
+    the hashes that repeat among them and the chunks holding those."""
     share, shares = share_args[-2:]
     pieces, held = [], []  # held: (hashes, chunk index) of the chunks not yet written
     for k, (h, *piece) in enumerate(itertools.chain(_read_share(*share_args), [(None,)])):
         if h is not None:
-            pieces.append(tuple(piece))
+            start, newlines, chunk = piece
+            kept = (None, None) if chunk is None else (chunk.week_totals, fold(chunk))
+            pieces.append((start, newlines, *kept))
             held.append((h, share + k * shares))
         if h is None or sum(len(x) for x, _ in held) >= _SPILL_ROWS:  # at the end, every file
             hashes = np.concatenate([np.zeros(0, np.int64), *(x for x, _ in held)])
@@ -719,10 +679,32 @@ def _spilled(spill: str, parts: int, *share_args) -> list[tuple]:
             ends = np.cumsum(np.bincount(top, minlength=parts)).tolist()
             for part, a, b in zip(range(parts), [0, *ends], ends):
                 for kind, values in enumerate((hashes, chunks)):
-                    with open(os.path.join(spill, f"{share}-{part}.{kind}"), "ab") as fh:
-                        values[order[a:b]].tofile(fh)
+                    name = os.path.join(spill, f"{share}-{part}.{kind}")
+                    try:
+                        with open(name, "ab") as fh:
+                            fh.write(values[order[a:b]])
+                    except OSError as exc:  # name the file in the line a failed reader sends
+                        raise OSError(exc.errno, exc.strerror, name) from None
             held = []
-    return pieces
+    bad = yield pieces
+
+    def column(part: int, kind: int) -> np.ndarray:  # kind 0: id hashes, 1: their chunks
+        return np.concatenate([np.fromfile(os.path.join(spill, f"{s}-{part}.{kind}"),
+                                           (np.int64, np.int32)[kind]) for s in range(shares)])
+
+    # One partition's hashes at a time, their chunks read only to cut at bad
+    # or to find the chunks holding a repeat.
+    rows_read, repeated, wanted = 0, set(), set()
+    for part in range(share, parts, shares):
+        hashes = column(part, 0) if bad is None else column(part, 0)[column(part, 1) <= bad]
+        rows_read += len(hashes)
+        hashes.sort()  # in place: a sorted copy would hold the partition twice
+        same = hashes[1:][hashes[1:] == hashes[:-1]]  # each once: np.unique imports numpy.ma
+        if len(same):
+            chunks = column(part, 1)[np.isin(column(part, 0), same)]
+            wanted.update(c for c in chunks.tolist() if bad is None or c <= bad)
+            repeated.update(same.tolist())
+    yield rows_read, repeated, wanted
 
 
 def _read_share(
@@ -735,22 +717,22 @@ def _read_share(
 ) -> Iterator[tuple]:
     """For each chunk k of the file with k % shares == share, in order: the
     _id_hash of the id of every row, the chunk's start (_chunks) and
-    newlines, its rows in each of weeks 1..weeks, and the POSIX seconds and
-    the columns (None if there are none) of its rows of those weeks that
-    hold one of the phrases, or of all of them when phrases is None:
-    _joined of their normalized texts (by "\n"), of their authors and of
-    their ids. At a chunk holding a record that ingest rejects: the same
-    but None for the last three, and no further chunk."""
+    newlines, and the Corpus of its rows of weeks 1..weeks that hold one of
+    the phrases (all of them when phrases is None). Lines in the layout
+    messages_jsonl writes are read by one regular expression and checked
+    column by column, others are decoded one by one, and each text is
+    normalized once and not kept. At a chunk holding a record that ingest
+    rejects: None for the Corpus, and no further chunk."""
     patterns = None if phrases is None else [_phrase_pattern(p) for p in phrases]
     for start, chunk in itertools.islice(_chunks(path), share, None, shares):
         ids, seconds, authors, texts = _read_columns(chunk)
         hashes = np.fromiter(map(_id_hash, ids), np.int64, count=len(ids))
         if seconds is None:
-            yield hashes, start, chunk.count("\n"), None, None, None
+            yield hashes, start, chunk.count("\n"), None
             return
         week = _week_of(seconds, first_week_end)
         inside = (week >= 1) & (week <= weeks)
-        counts = np.bincount(week[inside], minlength=weeks + 1)[1:]
+        counts = tuple(np.bincount(week[inside], minlength=weeks + 1)[1:].tolist())
         if not inside.all():
             seconds, ids, authors, texts = _taken(inside, seconds, ids, authors, texts)
         # Each text normalized on its own: str.lower maps Σ by its neighbours.
@@ -758,8 +740,9 @@ def _read_share(
         if patterns is not None:
             held = _rows_found(patterns, *_joined(normalized, "\n"))
             seconds, ids, authors, normalized = _taken(held, seconds, ids, authors, normalized)
-        kept = (_joined(normalized, "\n"), _joined(authors), _joined(ids)) if ids else None
-        yield hashes, start, chunk.count("\n"), counts, seconds, kept
+        yield hashes, start, chunk.count("\n"), Corpus(
+            seconds, _week_of(seconds, first_week_end), *_joined(normalized, "\n"),
+            *_joined(authors), *_joined(ids), counts, phrases)
 
 
 def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
@@ -768,17 +751,28 @@ def _taken(mask: np.ndarray, seconds: np.ndarray, *columns: list[str]) -> tuple:
     return seconds[mask], *([column[r] for r in keep] for column in columns)
 
 
-def _send_share(sink: BinaryIO, *spilled_args) -> NoReturn:
-    """In a forked child: write _spilled(*spilled_args) to sink as one
-    pickle (only the rows kept, and no id hashes), then exit with code 0,
-    or 1 on an error, never returning into the parent's frames."""
+def _send_share(sink: BinaryIO, wait: int, reader: Generator) -> NoReturn:
+    """In a forked child: write what reader yields first to sink as one
+    pickle, send reader what is read from the pipe wait and write what it
+    yields then, and exit with code 0. On an error write one line saying
+    why instead, log the traceback (at INFO: -v shows it) and exit with
+    code 1, never returning into the parent's frames."""
     code = 1
+    # Each chunk's tuples and lists would set off collections that walk them
+    # again and again; none of them is part of a cycle.
+    gc.disable()
     try:
-        pickle.dump(_spilled(*spilled_args), sink, pickle.HIGHEST_PROTOCOL)
+        pickle.dump(next(reader), sink, pickle.HIGHEST_PROTOCOL)
+        sink.flush()
+        pickle.dump(reader.send(pickle.load(open(wait, "rb"))), sink, pickle.HIGHEST_PROTOCOL)
         sink.flush()
         code = 0
-    except Exception:  # the parent reports the exit code; this says why
-        traceback.print_exc()
+    except Exception as exc:
+        log.info("a forked reader failed", exc_info=True)
+        with contextlib.suppress(OSError):
+            reason = " ".join(traceback.format_exception_only(exc)[-1].split())
+            pickle.dump(f"failed: {reason}", sink)
+            sink.flush()
     finally:
         os._exit(code)
 

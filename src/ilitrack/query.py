@@ -17,16 +17,12 @@ satisfied; any hit in a -group disqualifies the message.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, TokenizedMessage, WeekBucket, tokenize
-
-log = logging.getLogger(__name__)
 
 
 class QueryParseError(ValueError):
@@ -351,11 +347,6 @@ GATE_QUERY = parse_query(GATE_QUERY_TEXT)
 # --- columnar matching -------------------------------------------------------
 
 
-def _rows_with_any(terms: Iterable[Term], corpus: Corpus) -> np.ndarray:
-    """Boolean per corpus row: some term.found_in(that row's tokens)."""
-    return np.logical_or.reduce([corpus.rows_with(term.tokens) for term in terms])
-
-
 def match_rows(query: Query, corpus: Corpus) -> np.ndarray:
     """Boolean per corpus row: matches(query, that row's message).
 
@@ -369,15 +360,10 @@ def match_rows(query: Query, corpus: Corpus) -> np.ndarray:
                 f"the corpus was read for {len(corpus.phrases)} phrase(s), not for "
                 f"{' '.join(_render_terms(missing))}, so it cannot count the query's matches"
             )
-    began = time.perf_counter()
-    rows = _rows_with_any(query.base_terms, corpus)
+    rows = corpus.rows_with(*(term.tokens for term in query.base_terms))
     for group in query.required:
-        rows &= _rows_with_any(group, corpus)
+        rows &= corpus.rows_with(*(term.tokens for term in group))
     for group in query.excluded:
-        rows &= ~_rows_with_any(group, corpus)
-    log.info(
-        "match_rows %s: %d matching rows, %.3f s",
-        query.render(), int(rows.sum()), time.perf_counter() - began,
-    )
+        rows &= ~corpus.rows_with(*(term.tokens for term in group))
     return rows
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, time, timezone
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +28,7 @@ from .regress import RegressionModel, predict
 DEFAULT_AUTHOR_MARKERS = ("news", "reuters")
 DEFAULT_TEXT_MARKERS = ("associated press", "ap", "health officials")
 DEFAULT_SCHEDULE_COUNTS = (0, 1000, 5000, 10000, 100000)
+_GATE = GATE_QUERY.render()  # rendered once: pool_rows runs for every chunk of a file
 
 # Reference mean squared errors (percentage points squared) for the three
 # methods under this injection protocol, kept for side-by-side reporting.
@@ -122,7 +124,7 @@ def _markers(
             raise SimulationError(f"text marker {m!r} contains no tokens")
         terms.append(Term(tokens=tokens))
     rule = (
-        f"gate query [{GATE_QUERY.render()}] AND "
+        f"gate query [{_GATE}] AND "
         f"(author contains {list(author_markers)} OR "
         f"text has phrase {list(text_markers)})"
     )
@@ -152,22 +154,36 @@ def build_spurious_pool(
     return SpuriousPool(tokens=tuple(pool), source_rule=rule)
 
 
-def corpus_spurious_pool(
+def pool_rows(
     corpus: Corpus,
     gate: np.ndarray,
     author_markers: Sequence[str] = DEFAULT_AUTHOR_MARKERS,
     text_markers: Sequence[str] = DEFAULT_TEXT_MARKERS,
-) -> SpuriousPool:
-    """build_spurious_pool of the corpus's messages in (timestamp, id)
-    order, where gate is match_rows(GATE_QUERY, corpus): the gate rows
-    whose author holds a marker or whose text holds a marker phrase."""
-    author_lower, terms, rule = _markers(author_markers, text_markers)
-    marked = np.logical_or.reduce([corpus.rows_with(t.tokens) for t in terms]) & gate
+) -> list[tuple[int, str, tuple[str, ...]]]:
+    """(POSIX second, id, tokens) of each row of a corpus, such as one chunk
+    of a file, that build_spurious_pool keeps, where gate is
+    match_rows(GATE_QUERY, corpus): the gate rows whose author holds a
+    marker or whose text holds a marker phrase."""
+    author_lower, terms, _ = _markers(author_markers, text_markers)
+    marked = corpus.rows_with(*(t.tokens for t in terms)) & gate
     rest = np.flatnonzero(gate & ~marked)
     spans = zip(corpus.author_starts[rest].tolist(), corpus.author_starts[rest + 1].tolist())
     marked[rest] = [any(a in corpus.authors[b:e].lower() for a in author_lower) for b, e in spans]
     rows = np.flatnonzero(marked)
-    return SpuriousPool(tokens=tuple(map(tuple, corpus.tokens(rows))), source_rule=rule)
+    # Equal tokens made one str, which pickle then sends once.
+    tokens = (tuple(map(sys.intern, t)) for t in corpus.tokens(rows))
+    return list(zip(corpus.seconds[rows].tolist(), map(corpus.id, rows.tolist()), tokens))
+
+
+def spurious_pool(
+    rows: Iterable[tuple[int, str, tuple[str, ...]]],
+    author_markers: Sequence[str] = DEFAULT_AUTHOR_MARKERS,
+    text_markers: Sequence[str] = DEFAULT_TEXT_MARKERS,
+) -> SpuriousPool:
+    """build_spurious_pool of a file's messages from the pool_rows of its
+    chunks, in (timestamp, id) order: the order bucket_weekly gives them."""
+    rule = _markers(author_markers, text_markers)[2]
+    return SpuriousPool(tokens=tuple(tokens for *_, tokens in sorted(rows)), source_rule=rule)
 
 
 def inject(
@@ -209,6 +225,10 @@ def inject(
 
 # run_simulation draws a week's injected messages this many at a time.
 _DRAW_BLOCK = 1 << 13
+# run_simulation refuses, before any draw, to inject more messages than this
+# into a week: about ten seconds of draws. The default schedule injects at
+# most 100,000.
+MAX_INJECTED = 10**9
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,11 +285,12 @@ def run_simulation(
         raise SimulationError(f"schedule week(s) {absent} not present in the corpus")
     matching = [i for i, tokens in enumerate(pool.tokens) if matches_tokens(query, tokens)]
     probs = [score_tokens(classifier, pool.tokens[i]) for i in matching]
+    for week, n in sorted(schedule.pairs):  # before any draw
+        if n > MAX_INJECTED:
+            raise SimulationError(f"week {week}: cannot draw {n} injected messages")
     rng = np.random.default_rng([seed, 2])
     injected = dict(clean)
     for week, n in sorted(schedule.pairs):  # inject()'s order: by week, no draw for 0
-        if n * 8 > np.iinfo(np.intp).max:  # more than numpy could draw in one array
-            raise SimulationError(f"week {week}: cannot draw {n} injected messages")
         picks = np.zeros(len(pool), np.int64)
         for start in range(0, n, _DRAW_BLOCK):
             block = rng.integers(0, len(pool), size=min(_DRAW_BLOCK, n - start))

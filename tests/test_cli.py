@@ -1,24 +1,40 @@
 """End-to-end CLI behavior on small corpora."""
 
+import argparse
 import contextlib
+import errno
 import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
-from datetime import date, timedelta
+import time
+from datetime import date, datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import ilitrack
-from ilitrack.cli import _write, main
-from ilitrack.corpus import CorpusError, ingest, load_corpus
-from ilitrack.query import parse_query
+from ilitrack import corpus as corpus_module
+from ilitrack.classify import (
+    ClassifierError,
+    ClassifierModel,
+    WeekScores,
+    bucket_fractions,
+    predict_proba,
+    query_fraction_series,
+    summed_scores,
+)
+from ilitrack.cli import CliError, _load_weekly, _write, main
+from ilitrack.corpus import CorpusError, bucket_weekly, ingest, load_corpus
+from ilitrack.query import QueryError, matches, parse_query
+from ilitrack.simulate import SimulationError, build_spurious_pool, spurious_pool
 
 QUERY = 'flu cough headache "sore throat"'
 
@@ -235,28 +251,102 @@ def test_fraction_verbose_logs_load_and_match_on_stderr_only(work, tmp_path):
     quiet = fraction(out=tmp_path / "quiet")
     verbose = fraction("-v", out=tmp_path / "verbose")
     assert quiet.stderr == ""
-    loaded = re.search(
-        r"^INFO ilitrack\.corpus: load_corpus \S+: 1500 rows read by 1 process\(es\), 1500 in "
-        r"weeks 1\.\.6, (\d+) kept for 4 phrase\(s\), holding \d+ normalized, \d+ "
-        r"author and \d+ id bytes, [0-9.]+ s$",
-        verbose.stderr, re.MULTILINE,
+    # One line for the load, which matches and scores as it reads.
+    loaded = re.fullmatch(
+        r"INFO \S+: \S+: 1500 rows read by 1 process\(es\), 1500 in weeks 1\.\.6, (\d+) "
+        r"matching (.*), no spurious pool, [0-9.]+ s\n",
+        verbose.stderr,
     )
     assert loaded, verbose.stderr
     matched = sum(
         int(line.split(",")[2])
         for line in (tmp_path / "quiet" / "fractions.csv").read_text().splitlines()[1:]
     )
-    # The query has no + or - group, so the rows kept for its four bare
-    # terms are the rows it matches.
-    assert int(loaded[1]) == matched
-    found = re.search(
-        r"^INFO ilitrack\.query: match_rows (.*): (\d+) matching rows, [0-9.]+ s$",
-        verbose.stderr, re.MULTILINE,
-    )
-    assert found, verbose.stderr
-    assert found[1] == parse_query(QUERY).render()
-    assert int(found[2]) == matched > 0
+    assert loaded[2] == parse_query(QUERY).render()
+    assert int(loaded[1]) == matched > 0
     assert read_tree(tmp_path / "verbose") == read_tree(tmp_path / "quiet")
+
+
+def test_simulate_verbose_logs_one_line_per_read_with_the_pool_size(work, tmp_path):
+    out = tmp_path / "sim"
+    run = subprocess.run(
+        [sys.executable, "-m", "ilitrack.cli", "-v", "simulate", "--messages",
+         str(work["messages"]), "--ili", str(work["ili"]), "--classifier",
+         str(work["classifier"]), "--seed", "0", "--train-weeks", "1:6", "--out", str(out)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ilitrack.__file__).parents[1])},
+    )
+    loaded = re.fullmatch(
+        r"INFO \S+: \S+: 1500 rows read by 1 process\(es\), 1500 in weeks 1\.\.6, \d+ "
+        r"matching .*, (\d+) in the spurious pool, [0-9.]+ s\n",
+        run.stderr,
+    )
+    assert loaded, run.stderr
+    summary = json.loads((out / "simulation_summary.json").read_text(encoding="utf-8"))
+    assert int(loaded[1]) == summary["pool_size"] > 0
+
+
+PARITY_WORDS = ("flu", "Flu,", "cough", "sore", "throat", "headache", "shot", "ap", "AP",
+                "associated", "press", "health", "officials", "http://ap.example", "x", "\u00e9")
+PARITY_QUERIES = ("flu", "flu cough -shot", 'flu cough headache "sore throat"',
+                  '"sore throat" +ap', "x +(flu shot)")
+PARITY_MODEL = ClassifierModel(vocabulary={"ap": 1, "flu": 2, "http": 3},
+                               theta=(0.5, -2.0, 1.5, 0.0), l2_lambda=1.0, trained_on="t",
+                               converged=True)
+
+
+def outcome(call):
+    try:
+        return call()
+    except (ClassifierError, QueryError, SimulationError) as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-2, 22), st.sampled_from(["news", "Reuters", "joe", ""]),
+                       st.lists(st.sampled_from(PARITY_WORDS), max_size=6).map(" ".join)),
+             max_size=20),
+    st.sampled_from(PARITY_QUERIES),
+    st.booleans(),
+)
+def test_the_readers_records_and_pool_equal_the_per_message_oracle(rows, text, forked):
+    # What fraction and simulate read, matched, scored and pooled chunk by
+    # chunk, here or in two forked readers, against the per-message oracle
+    # over bucket_weekly(ingest(...)). Every line is a chunk of its own.
+    query = parse_query(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        args = argparse.Namespace(messages=Path(tmp) / "m.jsonl", ili=Path(tmp) / "ili.csv")
+        args.ili.write_text("week_ending,ili_pct\n2009-09-05,1\n2009-09-12,2\n2009-09-19,3\n")
+        args.messages.write_text("".join(
+            json.dumps({"id": f"m{i}", "author": author, "text": words, "timestamp": (
+                datetime(2009, 8, 30) + timedelta(days=day, minutes=i)
+            ).strftime("%Y-%m-%dT%H:%M:%SZ")}) + "\n"
+            for i, (day, author, words) in enumerate(rows)
+        ))
+        buckets = bucket_weekly(ingest(args.messages, (date(2009, 8, 30), date(2009, 9, 19))),
+                                date(2009, 9, 5), 3)
+        with mock.patch.multiple(corpus_module, _CHUNK_CHARS=37, _SHARES=1 + forked):
+            if not any(len(b) for b in buckets):
+                with pytest.raises(CliError, match="does not overlap the ILI series"):
+                    _load_weekly(args, query, None, pool=False)
+                return
+            _, _, plain, _ = _load_weekly(args, query, None, pool=False)
+            _, _, scored, pooled = _load_weekly(args, query, PARITY_MODEL, pool=True)
+    assert outcome(lambda: summed_scores(3, plain)) == outcome(
+        lambda: query_fraction_series(query, buckets))
+    messages = [tm for b in buckets for tm in b.messages]
+    assert outcome(lambda: spurious_pool(pooled)) == outcome(lambda: build_spurious_pool(messages))
+    if all(len(b) for b in buckets):
+        scores = summed_scores(3, scored)
+        assert scores == [
+            WeekScores.of(b.week_index, len(b), [predict_proba(PARITY_MODEL, tm)
+                                                 for tm in b.messages if matches(query, tm)])
+            for b in buckets
+        ]
+        assert [s.fractions() for s in scores] == [
+            bucket_fractions(query, b, PARITY_MODEL) for b in buckets
+        ]
 
 
 def test_fraction_noiseless_corpus_fits_truth(work, tmp_path, capsys):
@@ -491,6 +581,66 @@ def test_fraction_rejects_an_empty_week(work, tmp_path, capsys):
         assert not (tmp_path / "x").exists()
 
 
+def test_simulate_reads_its_classifier_before_the_messages(work, tmp_path, capsys):
+    # The readers score each chunk as they read it, so the classifier is
+    # loaded or trained first: with a bad labeled or classifier file and a
+    # bad messages file, the classifier's error is the one named.
+    messages, labeled = tmp_path / "m.jsonl", tmp_path / "labeled.jsonl"
+    messages.write_text("{broken\n", encoding="utf-8")
+    labeled.write_text(json.dumps({"id": "a", "timestamp": "2009-09-01T00:00:00Z",
+                                   "text": "flu"}) + "\n", encoding="utf-8")
+    (tmp_path / "classifier.json").write_text("{}", encoding="utf-8")
+    data = ["simulate", "--messages", str(messages), "--ili", str(work["ili"]), "--seed", "0",
+            "--out", str(tmp_path / "x")]
+    for flags, error in (
+        (["--train", str(labeled)], "line 1: missing field 'label'"),
+        (["--classifier", str(tmp_path / "classifier.json")],
+         "bad classifier document: 'vocabulary'"),
+        (["--classifier", str(work["classifier"])], "line 1: invalid JSON (Expecting property "
+                                                     "name enclosed in double quotes at character 1)"),
+    ):
+        assert run_fail(capsys, [*data, *flags]).err == f"error: {error}\n"
+
+
+def test_a_reader_that_cannot_spill_ends_the_command_in_one_line(tmp_path):
+    # A file size limit of 32 KiB, set in the command's own process and so
+    # in its forked readers', lets neither reader write its share's id
+    # hashes (8 bytes a row). The command names why in one line within 2 s
+    # and leaves no spill directory; -v adds a reader's traceback.
+    syn, spill = tmp_path / "syn", tmp_path / "spill"
+    spill.mkdir()
+    assert main(["synth", "--seed", "0", "--weeks", "8", "--messages-per-week", "1200",
+                 "--labeled-pos", "4", "--labeled-neg", "3", "--out", str(syn)]) == 0
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (32 << 10, 32 << 10))
+
+    def fraction(*flags):
+        began = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-m", "ilitrack.cli", *flags, "fraction",
+             "--messages", str(syn / "messages.jsonl"), "--ili", str(syn / "ili.csv"),
+             "--query", "flu", "--seed", "0", "--train-weeks", "1:4", "--eval-weeks", "5:8",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, preexec_fn=limited,
+            env={**os.environ, "TMPDIR": str(spill),
+                 "PYTHONPATH": str(Path(ilitrack.__file__).parents[1])},
+        )
+        assert run.returncode == 1 and time.monotonic() - began < 2, run.stderr
+        assert list(spill.iterdir()) == []
+        return run.stderr
+
+    one_line = (
+        rf"error: {re.escape(str(syn / 'messages.jsonl'))}: the process reading share 0 of the "
+        rf"file failed: OSError: \[Errno {errno.EFBIG}\] {os.strerror(errno.EFBIG)}: "
+        rf"'{re.escape(str(spill))}/\w+/0-0\.0'\n"
+    )
+    assert re.fullmatch(one_line, fraction()), one_line
+    verbose = fraction("-v")
+    assert "INFO ilitrack.corpus: a forked reader failed\nTraceback (most recent" in verbose
+    assert re.fullmatch(one_line, verbose.splitlines(keepends=True)[-1])
+
+
 # --- classify -------------------------------------------------------------------
 
 
@@ -647,6 +797,23 @@ def test_simulate_count_past_numpys_largest_array_is_one_error_line(work, tmp_pa
         "--schedule", f'{{"pairs": [[6, {count}]]}}', "--out", str(tmp_path / "x"),
     ])
     assert captured.err == f"error: week 6: cannot draw {count} injected messages\n"
+
+
+def test_simulate_refuses_an_injection_count_past_its_bound_at_once(work, tmp_path):
+    # 10**12 draws would take hours; the count is refused before any draw.
+    count = 10**12
+    began = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-m", "ilitrack.cli", "simulate", "--messages", str(work["messages"]),
+         "--ili", str(work["ili"]), "--classifier", str(work["classifier"]), "--seed", "1",
+         "--train-weeks", "1:6", "--schedule", f'{{"pairs": [[6, {count}]]}}',
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(ilitrack.__file__).parents[1])},
+    )
+    assert time.monotonic() - began < 2
+    assert (run.returncode, run.stderr) == (1, f"error: week 6: cannot draw {count} injected "
+                                               "messages\n")
 
 
 # --- rerun ----------------------------------------------------------------------

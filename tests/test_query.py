@@ -19,6 +19,7 @@ from ilitrack.classify import (
     bucket_fractions,
     predict_proba,
     query_fraction_series,
+    summed_scores,
     week_scores,
 )
 from ilitrack.corpus import Corpus, WeekBucket, bucket_weekly, ingest, load_corpus, tokenize
@@ -35,7 +36,7 @@ from ilitrack.query import (
     matches,
     parse_query,
 )
-from ilitrack.simulate import SimulationError, corpus_spurious_pool
+from ilitrack.simulate import SimulationError, pool_rows, spurious_pool
 
 from conftest import tmsg
 
@@ -466,7 +467,7 @@ def test_week_scores_rejects_empty_weeks_like_the_oracle(tmp_path):
     write_weeks(p, [["flu"], [], ["cough"], []])
     corpus = load_corpus(p, SAT1, 4)
     with pytest.raises(ClassifierError) as columnar:
-        week_scores(match_rows(GATE_QUERY, corpus), corpus, None)
+        summed_scores(4, week_scores(match_rows(GATE_QUERY, corpus), corpus, None))
     with pytest.raises(QueryError) as oracle:
         query_fraction_series(GATE_QUERY, reference_buckets(p, 4))
     assert str(columnar.value) == str(oracle.value)
@@ -516,9 +517,9 @@ def test_week_scores_agree_with_bucket_fractions(query, model, weeks_of_texts, s
 # --- corpora read for phrases -----------------------------------------------------
 
 
-def spurious_pool(corpus):
+def pool_of(corpus):
     try:
-        pool = corpus_spurious_pool(corpus, match_rows(GATE_QUERY, corpus))
+        pool = spurious_pool(pool_rows(corpus, match_rows(GATE_QUERY, corpus)))
     except SimulationError as exc:
         return str(exc)
     return pool.tokens, pool.source_rule
@@ -562,7 +563,7 @@ def test_a_corpus_read_for_the_bare_terms_equals_the_whole_corpus_on_its_rows(
             matched, full, model
         )
     for corpus in read[1::2]:
-        assert spurious_pool(corpus) == spurious_pool(full)
+        assert pool_of(corpus) == pool_of(full)
 
 
 def test_match_rows_rejects_a_term_the_corpus_was_not_read_for(tmp_path):

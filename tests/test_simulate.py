@@ -37,11 +37,12 @@ from ilitrack.simulate import (
     SimulationReport,
     SpuriousPool,
     build_spurious_pool,
-    corpus_spurious_pool,
     inject,
     mse_vs_baseline,
+    pool_rows,
     report_csv,
     run_simulation,
+    spurious_pool,
     summary_json,
 )
 
@@ -209,7 +210,9 @@ def test_columnar_paths_agree_with_the_oracles(rows, author_markers, text_marker
         for size in (corpus_module._CHUNK_CHARS, 37, 1):
             with mock.patch.multiple(corpus_module, _CHUNK_CHARS=size, _SHARES=1):
                 corpus = load_corpus(p, first_end, weeks)
-            tokens = list(corpus.tokens(range(len(corpus))))
+            # Rows in (timestamp, id) order are bucket_weekly's messages.
+            order = sorted(range(len(corpus)), key=lambda r: (corpus.seconds[r], corpus.id(r)))
+            tokens = list(corpus.tokens(order))
             assert tokens == [list(tm.tokens) for tm in messages]
             # Rows in file order, each with its record's id and author.
             kept = {tm.message.id: tm.message.author for tm in messages}
@@ -222,9 +225,28 @@ def test_columnar_paths_agree_with_the_oracles(rows, author_markers, text_marker
                 predict_proba(classifier, tm).hex() for tm in messages
             ]
             gate = match_rows(GATE_QUERY, corpus)
-            assert pool_or_error(
-                lambda: corpus_spurious_pool(corpus, gate, author_markers, text_markers)
-            ) == expected_pool
+            assert pool_or_error(lambda: spurious_pool(
+                pool_rows(corpus, gate, author_markers, text_markers), author_markers, text_markers
+            )) == expected_pool
+
+
+def test_spurious_pool_orders_rows_of_one_second_by_id_as_python_does(tmp_path):
+    # The pool's order picks what each draw injects. A numpy "U" array drops
+    # trailing NULs, so a sort of one would tie "a" with "a\x00";
+    # bucket_weekly orders them as strs, and so does spurious_pool.
+    p = tmp_path / "msgs.jsonl"
+    ids = ["b", "a\x00", "z", "a", "a\x00\x00", "c\x00", "c"]
+    seconds = [1, 1, 0, 1, 1, 2, 2]
+    p.write_text("".join(
+        json.dumps({"id": i, "timestamp": f"2009-09-01T00:00:0{s}Z", "author": "news",
+                    "text": f"flu t{n}"}) + "\n"
+        for n, (i, s) in enumerate(zip(ids, seconds))
+    ), encoding="utf-8")
+    buckets = bucket_weekly(ingest(p, (date(2009, 8, 30), date(2009, 9, 5))), date(2009, 9, 5), 1)
+    corpus = load_corpus(p, date(2009, 9, 5), 1)
+    pool = spurious_pool(pool_rows(corpus, match_rows(GATE_QUERY, corpus)))
+    assert pool == build_spurious_pool(buckets[0].messages)
+    assert [tokens[1] for tokens in pool.tokens] == ["t2", "t3", "t1", "t4", "t0", "t6", "t5"]
 
 
 def test_default_markers():
@@ -671,6 +693,19 @@ def test_week_scores_do_not_depend_on_the_order_of_rows(tmp_path):
     shuffled, _ = report_scores(tmp_path / "shuffled.jsonl", 900, 2016, 3, order)
     assert shuffled == in_order
     assert [s.matches for s in in_order] == [300, 300, 300]
+
+
+def test_run_simulation_refuses_a_count_past_max_injected_before_any_draw():
+    pool = SpuriousPool(tokens=(("flu",),), source_rule="r")
+    scores = [WeekScores.of(w, 100, [0.9], [10]) for w in (1, 2)]
+    schedule = InjectionSchedule(pairs=((2, 6), (1, 5)))
+    models, classifier = identity_models(), keep_all_classifier()
+    with mock.patch.object(simulate_module, "MAX_INJECTED", 6):
+        assert run_simulation(scores, pool, schedule, models, classifier, 0).injected_counts == (6, 5)
+    with mock.patch.object(simulate_module, "MAX_INJECTED", 5), \
+            mock.patch.object(simulate_module.np.random, "default_rng", side_effect=AssertionError):
+        with pytest.raises(SimulationError, match=r"^week 2: cannot draw 6 injected messages$"):
+            run_simulation(scores, pool, schedule, models, classifier, 0)
 
 
 def test_run_simulation_holds_nothing_per_draw():
